@@ -1,7 +1,8 @@
 """Command-line interface emitting JSON certificates.
 
-Exit codes: 0 on success, 2 when an ``--expect`` claim is contradicted by
-the exact computation, 1 on usage or input errors.
+Exit codes: 0 on success, 2 when an ``--expect`` claim or an internal
+check is contradicted by the exact computation, 1 on usage or input
+errors.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
+# Largest accepted dimension: the dense exact engine builds 2^(d/2)-square
+# matrices, and d=14 already takes minutes and hundreds of MB.
+MAX_DIM = 12
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; remap to 1 so that 2
@@ -43,7 +48,22 @@ def _even_dim(value: str) -> int:
     d = int(value)
     if d < 2 or d % 2:
         raise argparse.ArgumentTypeError("dimension must be even and >= 2")
+    if d > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"dimension must be at most {MAX_DIM}")
     return d
+
+
+def _even_dims(value: str) -> list[int]:
+    return [_even_dim(x) for x in value.split(",")]
+
+
+def _expectation(value: str) -> tuple[str, bool]:
+    name, _, verdict = value.partition(":")
+    if name not in CANDIDATES or verdict not in ("yes", "no"):
+        raise argparse.ArgumentTypeError(
+            f"bad expectation {value!r}, want NAME:yes|no"
+        )
+    return name, verdict == "yes"
 
 
 def _emit(args, payload: dict) -> None:
@@ -88,22 +108,8 @@ def _cmd_solve_tau(args) -> int:
     return EXIT_OK
 
 
-def _parse_expectations(pairs):
-    expected = {}
-    for item in pairs:
-        try:
-            name, verdict = item.split(":", 1)
-        except ValueError:
-            raise SystemExit(EXIT_USAGE)
-        if name not in CANDIDATES or verdict not in ("yes", "no"):
-            print(f"bad expectation: {item!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        expected[name] = verdict == "yes"
-    return expected
-
-
 def _cmd_classify(args) -> int:
-    dims = [_even_dim(x) for x in args.dims.split(",")]
+    dims = args.dims
     variants = args.variants.split(",")
     for v in variants:
         if v not in VARIANTS:
@@ -113,7 +119,7 @@ def _cmd_classify(args) -> int:
         dims, variants=tuple(variants), mass=Fraction(args.mass), jobs=args.jobs
     )
     results = [cert.classification_json(r) for r in records]
-    expected = _parse_expectations(args.expect or [])
+    expected = dict(args.expect or [])
     mismatches = []
     for rec in records:
         for name, want in expected.items():
@@ -177,11 +183,7 @@ def _cmd_labels(args) -> int:
     if args.dim != 4:
         print("little-group labels are computed for --dim 4", file=sys.stderr)
         return EXIT_USAGE
-    if args.variant == "doubled":
-        model = model_for(4, mass=Fraction(args.mass), doubled=True)
-    else:
-        branch = -1 if args.variant == "single-" else 1
-        model = model_for(4, mass=Fraction(args.mass), branch=branch)
+    model = model_for_variant(4, args.variant, mass=Fraction(args.mass))
     labels = little_group_labels(model)
     payload = cert.make_certificate(
         "labels",
@@ -238,19 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
         p.add_argument("--out", help="write the certificate to this file")
         p.add_argument(
             "--json",
             action="store_true",
             help="print the certificate to stdout even when --out is given",
         )
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--seed", type=int, default=0, help="rng seed (reserved)")
 
     p = sub.add_parser("gamma", help="build a gamma system and check its relations")
     p.add_argument("--dim", type=_even_dim, required=True)
-    common(p)
+    output(p)
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("solve-tau", help="solve one intertwiner equation exactly")
@@ -259,39 +259,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", default="1")
     p.add_argument("--symmetry", choices=sorted(CANDIDATES), required=True)
     p.add_argument("--ansatz", choices=("full", "clifford2"), default="full")
-    common(p)
+    output(p)
     p.set_defaults(func=_cmd_solve_tau)
 
     p = sub.add_parser("classify", help="existence table over dims and variants")
-    p.add_argument("--dims", required=True, help="comma-separated even dims")
+    p.add_argument(
+        "--dims", type=_even_dims, required=True, help="comma-separated even dims"
+    )
     p.add_argument("--variants", default="single")
     p.add_argument("--mass", default="1")
     p.add_argument(
         "--expect",
         action="append",
+        type=_expectation,
         metavar="NAME:yes|no",
         help="claimed verdict; contradictions exit with status 2",
     )
-    common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    output(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("spectrum", help="exact dispersion certificate H(p)^2")
     p.add_argument("--dim", type=_even_dim, required=True)
     p.add_argument("--mass", default="1")
     p.add_argument("--p", required=True, help="comma-separated momentum")
-    common(p)
+    output(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("labels", help="little-group labels of a massive d=4 model")
     p.add_argument("--dim", type=_even_dim, default=4)
     p.add_argument("--variant", choices=("single", "single-", "doubled"), default="single")
     p.add_argument("--mass", default="1")
-    common(p)
+    output(p)
     p.set_defaults(func=_cmd_labels)
 
     p = sub.add_parser("report", help="validate and summarize certificates")
     p.add_argument("certificates", nargs="+")
-    common(p)
     p.set_defaults(func=_cmd_report)
 
     return parser
@@ -305,6 +308,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

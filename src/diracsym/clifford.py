@@ -30,7 +30,6 @@ SIGMA2 = ExactMatrix(
     ]
 )
 SIGMA3 = ExactMatrix([[1, 0], [0, -1]])
-PAULI = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
 I2 = ExactMatrix.identity(2)
 
 

@@ -59,9 +59,6 @@ class ExactScalar:
     def conjugate(self) -> "ExactScalar":
         return ExactScalar._make(self.re, -self.im)
 
-    def inverse(self) -> "ExactScalar":
-        return ONE / self
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExactScalar):
             return self.re == other.re and self.im == other.im
@@ -152,15 +149,6 @@ class ExactMatrix:
     def zero(cls, n: int) -> "ExactMatrix":
         return cls._make([[ZERO] * n for _ in range(n)])
 
-    @classmethod
-    def diag(cls, entries: Sequence[Entry]) -> "ExactMatrix":
-        n = len(entries)
-        m = cls.zero(n)
-        rows = [list(r) for r in m.rows]
-        for i, e in enumerate(entries):
-            rows[i][i] = _coerce(e)
-        return cls._make(rows)
-
     def __getitem__(self, ij) -> ExactScalar:
         i, j = ij
         return self.rows[i][j]
@@ -229,9 +217,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
-
-    def is_identity(self) -> bool:
-        return self == ExactMatrix.identity(self.dim)
 
     def is_hermitian(self) -> bool:
         return self == self.dagger()

@@ -122,12 +122,6 @@ class OperatorSymbol:
             s._add_term(mono, matmul(m, mat))
         return s
 
-    def conj_coeffs(self) -> "OperatorSymbol":
-        s = OperatorSymbol(self.d, self.dim)
-        for mono, m in self.terms.items():
-            s._add_term(mono, m.conj())
-        return s
-
     def __mul__(self, other: "OperatorSymbol") -> "OperatorSymbol":
         """Symbol product with canonical reordering of p past x."""
         self._check(other)
@@ -180,20 +174,6 @@ class OperatorSymbol:
     def __repr__(self) -> str:
         return f"OperatorSymbol(d={self.d}, dim={self.dim}, terms={len(self.terms)})"
 
-    def to_json(self) -> list:
-        out = []
-        for mono in sorted(self.terms):
-            t, x, p = mono
-            out.append(
-                {
-                    "t": t,
-                    "x": list(x),
-                    "p": list(p),
-                    "matrix": self.terms[mono].to_json(),
-                }
-            )
-        return out
-
 
 @dataclass(frozen=True)
 class DiracModel:
@@ -225,14 +205,14 @@ class DiracModel:
         base = self.gamma.alphas()
         if not self.doubled:
             return base
-        return [_block_diag(a, a) for a in base]
+        return [block_diag(a, a) for a in base]
 
     @property
     def beta(self) -> ExactMatrix:
         b = self.gamma.beta
         if not self.doubled:
             return b
-        return _block_diag(b, -b)
+        return block_diag(b, -b)
 
     def hamiltonian_matrix(self, p) -> ExactMatrix:
         """H(p) for a rational momentum vector p of length d."""
@@ -245,7 +225,8 @@ class DiracModel:
         return h
 
 
-def _block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """[[a, 0], [0, b]] as one exact matrix."""
     n = a.dim
     out = ExactMatrix.zero(2 * n)
     rows = [list(r) for r in out.rows]
@@ -266,10 +247,6 @@ def block_antidiag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             rows[i][n + j] = a.rows[i][j]
             rows[n + i][j] = b.rows[i][j]
     return ExactMatrix._make(rows)
-
-
-def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return _block_diag(a, b)
 
 
 def model_for(

@@ -218,9 +218,6 @@ class FiberState:
     m: Fraction
     spinor: tuple  # ExactScalar components
 
-    def norm2(self) -> Fraction:
-        return sum((c.abs2() for c in self.spinor), Fraction(0))
-
 
 def profile_apply_P2(profile: MassProfile, states):
     """Action of the squared-momentum operator on a discretized direct

@@ -220,9 +220,9 @@ def _constraint_pairs(model: DiracModel, cand: SymmetryCandidate, include_j: boo
     return pairs, inconsistencies
 
 
-def _solve_full(model, pairs):
-    n = model.dim
-    rref = _Rref()
+def _constraint_rows(n: int, pairs):
+    """Yield the nonzero sparse rows of tau*A - eps*B*tau = 0, one per
+    entry (i, j) of every pair; unknown i*n + k is the entry tau[i][k]."""
     for _, a, b, eps in pairs:
         acols = _sparse_cols(a)
         brows = _sparse_rows(b)
@@ -243,34 +243,45 @@ def _solve_full(model, pairs):
                         row.pop(c, None)
                 row = {c: v for c, v in row.items() if v}
                 if row:
-                    rref.add_row(row)
-    vecs = nullspace_from_rref(rref, n * n)
-    basis = []
-    for v in vecs:
-        basis.append(
-            ExactMatrix._make([list(v[i * n : (i + 1) * n]) for i in range(n)])
-        )
-    return basis
+                    yield row
+
+
+def _solve_full(model, pairs):
+    n = model.dim
+    rref = _Rref()
+    for row in _constraint_rows(n, pairs):
+        rref.add_row(row)
+    return [
+        ExactMatrix._make([list(v[i * n : (i + 1) * n]) for i in range(n)])
+        for v in nullspace_from_rref(rref, n * n)
+    ]
 
 
 def _solve_span(model, pairs, span):
+    """The full system under the change of variables tau = sum_s c_s span[s].
+
+    Each row sum_e r_e tau_e becomes sum_s (sum_e r_e span[s]_e) c_s, the
+    (i, j) entry of span[s]*A - eps*B*span[s], with no matrix product.
+    """
     n = model.dim
+    # entry position -> [(s, nonzero entry of span[s] there)]
+    members_at = {}
+    for s, m in enumerate(span):
+        for i, r in enumerate(m.rows):
+            for k, v in enumerate(r):
+                if v:
+                    members_at.setdefault(i * n + k, []).append((s, v))
     rref = _Rref()
-    for _, a, b, eps in pairs:
-        e = ExactScalar(eps)
-        mats = [(m @ a) - (b @ m).scale(e) for m in span]
-        for i in range(n):
-            for j in range(n):
-                row = {}
-                for idx, cm in enumerate(mats):
-                    v = cm.rows[i][j]
-                    if v:
-                        row[idx] = v
-                if row:
-                    rref.add_row(row)
-    vecs = nullspace_from_rref(rref, len(span))
+    for row in _constraint_rows(n, pairs):
+        sub = {}
+        for c, rv in row.items():
+            for s, mv in members_at.get(c, ()):
+                sub[s] = sub.get(s, ZERO) + rv * mv
+        sub = {s: v for s, v in sub.items() if v}
+        if sub:
+            rref.add_row(sub)
     basis = []
-    for v in vecs:
+    for v in nullspace_from_rref(rref, len(span)):
         m = ExactMatrix.zero(n)
         for coef, mat in zip(v, span):
             if coef:
@@ -284,27 +295,6 @@ def clifford2_span(model: DiracModel) -> list[ExactMatrix]:
     if model.doubled:
         raise ValueError("the restricted ansatz is defined for single models")
     return [m.matrix for m in monomial_basis(model.gamma, 2)]
-
-
-def alpha_span(model: DiracModel, alpha0_is_identity: bool) -> list[ExactMatrix]:
-    """Span of a_mu alpha_mu + a_munu alpha_mu alpha_nu with mu < nu.
-
-    The undefined alpha_0 is taken as the identity or as gamma_0;
-    both readings are exercised by the test suite.
-    """
-    if model.doubled:
-        raise ValueError("the restricted ansatz is defined for single models")
-    a0 = (
-        ExactMatrix.identity(model.dim)
-        if alpha0_is_identity
-        else model.gamma.gamma0
-    )
-    als = [a0] + model.alphas
-    span = list(als)
-    for mu in range(len(als)):
-        for nu in range(mu + 1, len(als)):
-            span.append(als[mu] @ als[nu])
-    return span
 
 
 def _normalize(m: ExactMatrix) -> ExactMatrix:

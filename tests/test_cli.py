@@ -5,6 +5,7 @@ import json
 import pytest
 
 from diracsym import ExactMatrix, model_for, verify_certificate
+from diracsym import cli
 from diracsym.cli import main
 
 from conftest import proj_equal
@@ -103,16 +104,42 @@ def test_report_flags_corrupted_certificate(tmp_path, capsys):
     assert run(["report", str(g)]) == 2
 
 
-def test_usage_errors_exit_1(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["classify"])  # missing --dims
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        run(["gamma", "--dim", "3"])
-    assert exc.value.code == 1
+def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
+    # rejected while parsing, before anything is built or solved
+    def never(*args, **kwargs):
+        raise AssertionError("called before the arguments were checked")
+
+    monkeypatch.setattr(cli, "system_for", never)
+    monkeypatch.setattr(cli, "classify", never)
+    for argv, message in (
+        (["classify"], "--dims"),
+        (["gamma", "--dim", "3"], "even"),
+        (["gamma", "--dim", "2", "--seed", "1"], "unrecognized"),
+        (["report", "--out", "x", "f.json"], "unrecognized"),
+        (["classify", "--dims", "3"], "even"),
+        (["classify", "--dims", "2", "--expect", "Tw"], "NAME:yes|no"),
+        (["gamma", "--dim", "14"], f"at most {cli.MAX_DIM}"),
+        (["classify", "--dims", "4,16"], f"at most {cli.MAX_DIM}"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, argv
+    monkeypatch.undo()
     assert run(["classify", "--dims", "2", "--variants", "bogus"]) == 1
     assert run(["spectrum", "--dim", "4", "--mass", "1", "--p", "1,2"]) == 1
     assert run(["report", str(tmp_path / "missing.json")]) == 1
+    assert run(["solve-tau", "--dim", "2", "--symmetry", "Tw", "--mass", "1/0"]) == 1
+
+
+def test_failed_internal_check_exits_2(monkeypatch, capsys):
+    def failing(model):
+        raise ArithmeticError("label multiplicities do not sum to rep_dim")
+
+    monkeypatch.setattr(cli, "little_group_labels", failing)
+    assert run(["labels", "--dim", "4"]) == 2
+    assert "rep_dim" in capsys.readouterr().err
 
 
 def test_stdout_json_when_no_out(capsys):

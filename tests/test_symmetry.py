@@ -1,11 +1,13 @@
 """Intertwiner solving and the invariance classification."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from diracsym import (
     CANDIDATES,
+    CLASSIFY_ORDER,
     ExactMatrix,
     ExactScalar,
     classify,
@@ -17,10 +19,52 @@ from diracsym import (
     verify_tau,
 )
 from diracsym.clifford import SIGMA1, SIGMA2, SIGMA3
+from diracsym.exact import _Rref, nullspace_from_rref
 from diracsym.models import block_antidiag, block_diag
-from diracsym.symmetry import C, PARITY, PTC, TP, TP_LITERAL, TPC, TW, TWC
+from diracsym.symmetry import (
+    C,
+    PARITY,
+    PTC,
+    TP,
+    TP_LITERAL,
+    TPC,
+    TW,
+    TWC,
+    _constraint_pairs,
+    _invertible_element,
+    _normalize,
+    clifford2_span,
+)
 
 from conftest import proj_equal
+
+
+def _dense_span_basis(model, cand):
+    """Reference for the clifford2 ansatz: one row per matrix entry of
+    span[s]*A - eps*B*span[s], built by dense products."""
+    pairs, _ = _constraint_pairs(model, cand, include_j=True)
+    span = clifford2_span(model)
+    n = model.dim
+    rref = _Rref()
+    for _, a, b, eps in pairs:
+        mats = [(m @ a) - (b @ m).scale(ExactScalar(eps)) for m in span]
+        for i in range(n):
+            for j in range(n):
+                row = {s: cm.rows[i][j] for s, cm in enumerate(mats) if cm.rows[i][j]}
+                if row:
+                    rref.add_row(row)
+    basis = []
+    for v in nullspace_from_rref(rref, len(span)):
+        m = ExactMatrix.zero(n)
+        for coef, mat in zip(v, span):
+            if coef:
+                m = m + mat.scale(coef)
+        basis.append(m)
+    return basis
+
+
+def _dumps(mats):
+    return json.dumps([m.to_json() if m is not None else None for m in mats])
 
 
 def _alpha_prod(model, *ks):
@@ -216,6 +260,20 @@ class TestAnsatzModes:
             restricted = solve_tau(model, CANDIDATES[name], ansatz="clifford2")
             assert full.dim == restricted.dim
             assert full.exists == restricted.exists
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("variant", ["single", "single-", "massless"])
+    def test_clifford2_matches_dense_product_assembly(self, d, variant):
+        model = model_for_variant(d, variant)
+        for name in CLASSIFY_ORDER:
+            cand = CANDIDATES[name]
+            sol = solve_tau(model, cand, ansatz="clifford2")
+            basis = _dense_span_basis(model, cand)
+            assert _dumps(sol.basis) == _dumps(basis), name
+            reps = [_normalize(basis[0]) if basis else None, _invertible_element(basis)]
+            assert _dumps([sol.representative, sol.invertible_representative]) == (
+                _dumps(reps)
+            ), name
 
     def test_unknown_ansatz_rejected(self):
         with pytest.raises(ValueError):
