@@ -53,6 +53,13 @@ def _even_dim(value: str) -> int:
     return d
 
 
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return n
+
+
 def _even_dims(value: str) -> list[int]:
     return [_even_dim(x) for x in value.split(",")]
 
@@ -204,6 +211,12 @@ def _cmd_report(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"{path}: unreadable certificate: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if not isinstance(c, dict):
+            print(
+                f"{path}: unreadable certificate: top-level JSON is not an object",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
         ok = cert.verify_certificate(c)
         print(f"{path}: kind={c.get('kind')} hash={'ok' if ok else 'BAD'}")
         if not ok:
@@ -275,7 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME:yes|no",
         help="claimed verdict; contradictions exit with status 2",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes, at most one per cell",
+    )
     output(p)
     p.set_defaults(func=_cmd_classify)
 

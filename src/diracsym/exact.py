@@ -13,6 +13,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
+_FRACTION_ZERO = Fraction(0)
+
 
 class ExactScalar:
     """A complex number with rational real and imaginary parts.
@@ -42,7 +44,21 @@ class ExactScalar:
         return ExactScalar._make(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
+        # Real or imaginary factors (momenta, masses, +-1 and +-i gamma
+        # entries) take one or two Fraction products instead of four.
         a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            if not d:
+                return ExactScalar._make(a * c, _FRACTION_ZERO)
+            return ExactScalar._make(a * c, a * d)
+        if not a:
+            if not c:
+                return ExactScalar._make(-(b * d), _FRACTION_ZERO)
+            return ExactScalar._make(-(b * d), b * c)
+        if not d:
+            return ExactScalar._make(a * c, b * c)
+        if not c:
+            return ExactScalar._make(-(b * d), a * d)
         return ExactScalar._make(a * c - b * d, a * d + b * c)
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
@@ -161,11 +177,14 @@ class ExactMatrix:
     def __hash__(self):
         return hash(tuple(tuple(r) for r in self.rows))
 
+    # The elementwise operations skip zero operands: a zero entry costs
+    # one truth test and no Fraction arithmetic.
+
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)
         return ExactMatrix._make(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [(a + b if b else a) if a else b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
@@ -174,7 +193,8 @@ class ExactMatrix:
         self._check_dim(other)
         return ExactMatrix._make(
             [
-                [a - b for a, b in zip(ra, rb)]
+                [(a - b if b else a) if a else (-b if b else b)
+                 for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
@@ -184,7 +204,11 @@ class ExactMatrix:
 
     def scale(self, c: Entry) -> "ExactMatrix":
         c = _coerce(c)
-        return ExactMatrix._make([[c * a for a in r] for r in self.rows])
+        if not c:
+            return ExactMatrix.zero(self.dim)
+        return ExactMatrix._make(
+            [[c * a if a else a for a in r] for r in self.rows]
+        )
 
     def _check_dim(self, other: "ExactMatrix") -> None:
         if self.dim != other.dim:
@@ -284,19 +308,23 @@ class ExactMatrix:
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product."""
+    """Exact matrix product, row-sparse.
+
+    The nonzeros of each row of ``b`` are collected once; row i of the
+    product accumulates a[i][k] * b[k][j] over the nonzero a[i][k] only.
+    Cost: n^2 truth tests plus one product per nonzero pair.
+    """
     a._check_dim(b)
     n = a.dim
-    bt = b.transpose().rows
+    b_nz = [[(j, y) for j, y in enumerate(rb) if y] for rb in b.rows]
     out = []
     for ra in a.rows:
-        row = []
-        for cb in bt:
-            s = ZERO
-            for x, y in zip(ra, cb):
-                if x and y:
-                    s = s + x * y
-            row.append(s)
+        row = [ZERO] * n
+        for x, nz in zip(ra, b_nz):
+            if x and nz:
+                for j, y in nz:
+                    s = row[j]
+                    row[j] = x * y if s is ZERO else s + x * y
         out.append(row)
     return ExactMatrix._make(out)
 

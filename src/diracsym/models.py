@@ -215,14 +215,25 @@ class DiracModel:
         return block_diag(b, -b)
 
     def hamiltonian_matrix(self, p) -> ExactMatrix:
-        """H(p) for a rational momentum vector p of length d."""
+        """H(p) for a rational momentum vector p of length d.
+
+        One pass over the nonzero entries of the alphas and beta.
+        """
         if len(p) != self.d:
             raise ValueError(f"momentum must have {self.d} components")
-        h = ExactMatrix.zero(self.dim)
-        for pk, ak in zip(p, self.alphas):
-            h = h + ak.scale(ExactScalar(Fraction(pk)))
-        h = h + self.beta.scale(ExactScalar(self.branch * self.mass))
-        return h
+        n = self.dim
+        rows = [[ZERO] * n for _ in range(n)]
+        coeffs = [*p, self.branch * self.mass]
+        for c, m in zip(coeffs, [*self.alphas, self.beta]):
+            c = ExactScalar(Fraction(c))
+            if not c:
+                continue
+            for out, r in zip(rows, m.rows):
+                for j, v in enumerate(r):
+                    if v:
+                        s = out[j]
+                        out[j] = c * v if s is ZERO else s + c * v
+        return ExactMatrix._make(rows)
 
 
 def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -99,6 +99,25 @@ def _casimir(ops) -> ExactMatrix:
 _J_CANDIDATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
 
 
+def _shifted_rows(casimir: ExactMatrix) -> list:
+    """Rows of casimir - j(j+1)*I for each candidate j."""
+    ident = ExactMatrix.identity(casimir.dim)
+    return [
+        (casimir - ident.scale(ExactScalar(j * (j + 1)))).rows
+        for j in _J_CANDIDATES
+    ]
+
+
+def _live_candidates(proj_rows, shifted, n: int) -> list:
+    """(j, rows) for the candidates j with a nonzero eigenspace on the
+    subspace cut out by proj_rows."""
+    return [
+        (j, rows)
+        for j, rows in zip(_J_CANDIDATES, shifted)
+        if nullspace([*proj_rows, *rows], n)
+    ]
+
+
 def little_group_labels(model: DiracModel) -> list[RepLabel]:
     """Rest-frame little-group content of a massive d=4 model.
 
@@ -116,17 +135,17 @@ def little_group_labels(model: DiracModel) -> list[RepLabel]:
     # H(0)/mass squares to I, so (I + s*H0/mass)/2 projects on energy sign s
     h0 = model.hamiltonian_matrix([0] * model.d)
     h0_unit = h0.scale(ExactScalar(Fraction(1, model.mass)))
+    a_shifted, b_shifted = _shifted_rows(a2), _shifted_rows(b2)
     labels = []
     for sign in (1, -1):
-        proj_rows = h0_unit - ident.scale(ExactScalar(sign))
-        for j1 in _J_CANDIDATES:
-            for j2 in _J_CANDIDATES:
-                la = ExactScalar(j1 * (j1 + 1))
-                lb = ExactScalar(j2 * (j2 + 1))
-                rows = []
-                for m in (proj_rows, a2 - ident.scale(la), b2 - ident.scale(lb)):
-                    rows.extend(m.rows)
-                vecs = nullspace(rows, n)
+        proj_rows = (h0_unit - ident.scale(ExactScalar(sign))).rows
+        # a joint eigenspace lies inside both one-Casimir eigenspaces, so
+        # only the j1 and j2 whose own eigenspace is nonzero are paired
+        live_a = _live_candidates(proj_rows, a_shifted, n)
+        live_b = _live_candidates(proj_rows, b_shifted, n)
+        for j1, a_rows in live_a:
+            for j2, b_rows in live_b:
+                vecs = nullspace([*proj_rows, *a_rows, *b_rows], n)
                 if not vecs:
                     continue
                 block = int((2 * j1 + 1) * (2 * j2 + 1))
@@ -161,14 +180,10 @@ def sqrt_dirac_fiber(m, p3) -> dict:
     p3 = [Fraction(x) for x in p3]
     if len(p3) != 3:
         raise ValueError("fiber momentum must have 3 components")
-    base = model_for(4, mass=0)
-    al = base.alphas
-    h = ExactMatrix.zero(base.dim)
-    for pk, ak in zip(p3, al[:3]):
-        h = h + ak.scale(ExactScalar(pk))
-    h = h + base.beta.scale(ExactScalar(m))
+    model = model_for(4, mass=m)
+    h = model.hamiltonian_matrix([*p3, 0])
     omega2 = sum((x * x for x in p3), Fraction(0)) + m * m
-    ok = (h @ h) == ExactMatrix.identity(base.dim).scale(ExactScalar(omega2))
+    ok = (h @ h) == ExactMatrix.identity(model.dim).scale(ExactScalar(omega2))
     return {"m": m, "p": p3, "hamiltonian": h, "omega2": omega2, "ok": ok}
 
 

@@ -452,7 +452,8 @@ def classify(
     """Existence table over (d, variant, candidate) cells.
 
     Cells are independent and pure; with jobs > 1 they are distributed
-    over worker processes and merged back in deterministic order.
+    over at most one worker process per cell and merged back in
+    deterministic order.
     """
     cells = [
         (d, v, c, mass)
@@ -460,8 +461,9 @@ def classify(
         for v in variants
         for c in candidates
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_solve_cell, cells))
     else:
         results = [_solve_cell(c) for c in cells]

@@ -120,6 +120,8 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         (["classify", "--dims", "2", "--expect", "Tw"], "NAME:yes|no"),
         (["gamma", "--dim", "14"], f"at most {cli.MAX_DIM}"),
         (["classify", "--dims", "4,16"], f"at most {cli.MAX_DIM}"),
+        (["classify", "--dims", "2", "--jobs", "0"], "at least 1"),
+        (["classify", "--dims", "2", "--jobs", "-3"], "at least 1"),
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -130,6 +132,12 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert run(["classify", "--dims", "2", "--variants", "bogus"]) == 1
     assert run(["spectrum", "--dim", "4", "--mass", "1", "--p", "1,2"]) == 1
     assert run(["report", str(tmp_path / "missing.json")]) == 1
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[]")
+    capsys.readouterr()
+    assert run(["report", str(not_an_object)]) == 1
+    err = capsys.readouterr().err
+    assert "top-level JSON is not an object" in err and "Traceback" not in err
     assert run(["solve-tau", "--dim", "2", "--symmetry", "Tw", "--mass", "1/0"]) == 1
 
 

@@ -18,6 +18,7 @@ from diracsym import (
     solve_tau,
     verify_tau,
 )
+from diracsym import symmetry
 from diracsym.clifford import SIGMA1, SIGMA2, SIGMA3
 from diracsym.exact import _Rref, nullspace_from_rref
 from diracsym.models import block_antidiag, block_diag
@@ -309,6 +310,33 @@ class TestClassification:
             for name in a.entries:
                 assert a.entries[name].exists == b.entries[name].exists
                 assert a.entries[name].dim == b.entries[name].dim
+
+    def test_workers_capped_at_cell_count(self, monkeypatch):
+        # records the pool size and runs the cells in this process, so no
+        # worker is ever started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(symmetry, "ProcessPoolExecutor", RecordingPool)
+        records = classify([2], jobs=10**6)
+        assert sizes == [len(CLASSIFY_ORDER)]
+        assert [r.entries[c].dim for r in records for c in CLASSIFY_ORDER] == [
+            r.entries[c].dim for r in classify([2]) for c in CLASSIFY_ORDER
+        ]
+        classify([2], candidates=("P",), jobs=8)
+        assert sizes == [len(CLASSIFY_ORDER)]  # one cell runs in-process
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
