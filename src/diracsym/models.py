@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .clifford import GammaSystem, system_for
 from .exact import (
@@ -200,8 +201,10 @@ class DiracModel:
         n = self.gamma.rep_dim
         return 2 * n if self.doubled else n
 
-    @property
+    @cached_property
     def alphas(self) -> list[ExactMatrix]:
+        """alpha_k = gamma_0 * gamma_k, block-doubled on doubled models;
+        built once per model."""
         base = self.gamma.alphas()
         if not self.doubled:
             return base

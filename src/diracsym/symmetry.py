@@ -9,21 +9,28 @@ class it prescribes a bracket sign eps, and the intertwiner equation
 is identified coefficient-by-coefficient on the orbital monomials of G.
 T(G) is the transformed generator symbol: t -> t_sign*t, x -> x_sign*x,
 p -> x_sign*p (with an extra sign flip of p and conjugated matrix
-coefficients when S is antilinear).  The resulting homogeneous linear
-system in the entries of tau is solved by exact nullspace computation.
+coefficients when S is antilinear).
+
+Every coefficient of these generators is one scalar times one Pauli
+string, so the equation is diagonal in strings: a string tau either
+solves all of it or none of it, and the strings that solve it are the
+solutions of an affine system over GF(2) (``pauli``).  Dense matrices are
+built only for the solution strings, in the basis an exact nullspace
+computation on the entries of tau would give.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from . import pauli
 from .clifford import monomial_basis
 from .exact import (
     ExactMatrix,
     ExactScalar,
+    MINUS_ONE,
     ONE,
     ZERO,
     _Rref,
@@ -124,19 +131,21 @@ def transform(sym: OperatorSymbol, cand: SymmetryCandidate) -> OperatorSymbol:
     tau is deliberately not applied; the result is T(G) so that the
     intertwiner constraint reads tau*T(G) = eps*G*tau.
     """
-    p_sign = cand.x_sign * (-1 if cand.antilinear else 1)
     out = OperatorSymbol(sym.d, sym.dim)
-    for (t, x, p), mat in sym.terms.items():
-        sign = (
-            cand.t_sign**t
-            * cand.x_sign ** sum(x)
-            * p_sign ** sum(p)
-        )
+    for mono, mat in sym.terms.items():
         m = mat.conj() if cand.antilinear else mat
-        if sign < 0:
+        if _term_sign(mono, cand) < 0:
             m = -m
-        out._add_term((t, x, p), m)
+        out._add_term(mono, m)
     return out
+
+
+def _term_sign(mono, cand: SymmetryCandidate) -> int:
+    """Sign of one monomial under t -> t_sign*t, x -> x_sign*x and
+    p -> x_sign*p, with p flipped once more when S is antilinear."""
+    t, x, p = mono
+    p_sign = cand.x_sign * (-1 if cand.antilinear else 1)
+    return cand.t_sign**t * cand.x_sign ** sum(x) * p_sign ** sum(p)
 
 
 @dataclass
@@ -174,112 +183,106 @@ def _generators(model: DiracModel):
     return gens
 
 
-def _sparse_cols(m: ExactMatrix):
-    n = m.dim
-    cols = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = m.rows[i][j]
-            if v:
-                cols[j].append((i, v))
-    return cols
+def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
+    """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
-
-def _sparse_rows(m: ExactMatrix):
-    return [
-        [(j, v) for j, v in enumerate(r) if v] for r in m.rows
-    ]
-
-
-def _constraint_pairs(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
-    """Yield (label, A, B, eps) with the per-monomial constraint
-    tau*A - eps*B*tau = 0, plus a list of orbital inconsistencies."""
+    Every generator coefficient is one string, B = lam*P, and its image
+    in T(G) is A = lam_A*P with lam_A from the same sign and conjugation
+    rule as ``transform``.  Then S*A = eps*B*S iff (-1)^<S,P> = r with
+    r = eps*lam/lam_A: one row <S,P> = [r = -1] per (generator,
+    monomial), or the contradiction 0 = 1 when r is not +-1.  Returns
+    (rows as (mask, rhs) pairs, orbital inconsistencies).
+    """
+    nq = pauli.qubits(model.dim)
+    rows = []
     inconsistencies = []
-    pairs = []
     for cls, label, g in _generators(model):
         if not include_j and cls in ("Jkl", "J0k"):
             continue
-        eps = cand.eps(cls)
-        tg = transform(g, cand)
-        monos = sorted(set(g.terms) | set(tg.terms))
-        for mono in monos:
-            a = tg.coeff(mono)
-            b = g.coeff(mono)
-            if a.is_zero() and b.is_zero():
-                continue
-            sa = a.scalar_multiple_of_identity()
-            sb = b.scalar_multiple_of_identity()
-            if sa is not None and sb is not None:
-                resid = sa - ExactScalar(eps) * sb
-                if resid.is_zero():
-                    continue  # identically satisfied, no condition on tau
-                inconsistencies.append(
-                    {"generator": label, "monomial": mono, "scale": resid}
-                )
-            pairs.append((label, a, b, eps))
-    return pairs, inconsistencies
+        eps = ExactScalar(cand.eps(cls))
+        for mono in sorted(g.terms):
+            lam, x, z = pauli.decode(g.terms[mono])
+            lam_a = lam.conjugate() if cand.antilinear else lam
+            if _term_sign(mono, cand) < 0:
+                lam_a = -lam_a
+            if not (x or z):
+                resid = lam_a - eps * lam
+                if resid:
+                    inconsistencies.append(
+                        {"generator": label, "monomial": mono, "scale": resid}
+                    )
+            r = eps * lam / lam_a
+            mask = pauli.symplectic_mask(x, z, nq)
+            if r == ONE:
+                rows.append((mask, 0))
+            elif r == MINUS_ONE:
+                rows.append((mask, 1))
+            else:
+                rows.append((0, 1))
+    return rows, inconsistencies
 
 
-def _constraint_rows(n: int, pairs):
-    """Yield the nonzero sparse rows of tau*A - eps*B*tau = 0, one per
-    entry (i, j) of every pair; unknown i*n + k is the entry tau[i][k]."""
-    for _, a, b, eps in pairs:
-        acols = _sparse_cols(a)
-        brows = _sparse_rows(b)
-        e = ExactScalar(eps)
-        for i in range(n):
-            bi = brows[i]
-            for j in range(n):
-                row = {}
-                for k, av in acols[j]:
-                    c = i * n + k
-                    row[c] = row.get(c, ZERO) + av
-                for k, bv in bi:
-                    c = k * n + j
-                    nv = row.get(c, ZERO) - e * bv
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    yield row
+def _last_pivot_basis(mats: list) -> list:
+    """The basis ``nullspace_from_rref`` gives for the span of ``mats``.
 
-
-def _solve_full(model, pairs):
-    n = model.dim
+    That basis is the reduced echelon form that pivots on each vector's
+    last nonzero entry (row-major), pivots scaled to 1, sorted by pivot:
+    elimination on the reversed entry order.
+    """
+    if not mats:
+        return []
+    n = mats[0].dim
+    last = n * n - 1
     rref = _Rref()
-    for row in _constraint_rows(n, pairs):
-        rref.add_row(row)
-    return [
-        ExactMatrix._make([list(v[i * n : (i + 1) * n]) for i in range(n)])
-        for v in nullspace_from_rref(rref, n * n)
-    ]
+    for m in mats:
+        rref.add_row(
+            {
+                last - (i * n + j): v
+                for i, r in enumerate(m.rows)
+                for j, v in enumerate(r)
+                if v
+            }
+        )
+    basis = []
+    for p in sorted(rref.pivots, reverse=True):
+        rows = [[ZERO] * n for _ in range(n)]
+        for c, v in rref.pivots[p].items():
+            i, j = divmod(last - c, n)
+            rows[i][j] = v
+        basis.append(ExactMatrix._make(rows))
+    return basis
 
 
-def _solve_span(model, pairs, span):
-    """The full system under the change of variables tau = sum_s c_s span[s].
+def _solve_strings(model: DiracModel, rows):
+    """Basis of the full solution space, and its first solution string."""
+    n = model.dim
+    nq = pauli.qubits(n)
+    strings = pauli.solve_affine(rows, 2 * nq)
+    mats = [pauli.encode(ONE, *pauli.unpack(s, nq), n) for s in strings]
+    return _last_pivot_basis(mats), (mats[0] if mats else None)
 
-    Each row sum_e r_e tau_e becomes sum_s (sum_e r_e span[s]_e) c_s, the
-    (i, j) entry of span[s]*A - eps*B*span[s], with no matrix product.
+
+def _solve_span(model: DiracModel, rows, span: list):
+    """Solutions tau = sum_s c_s span[s] for a span of string multiples,
+    and the first span member that is a solution string.
+
+    tau solves the equation iff its component on every string outside
+    the solution set vanishes: one span-coordinate row per such string.
     """
     n = model.dim
-    # entry position -> [(s, nonzero entry of span[s] there)]
-    members_at = {}
+    nq = pauli.qubits(n)
+    by_string = {}
     for s, m in enumerate(span):
-        for i, r in enumerate(m.rows):
-            for k, v in enumerate(r):
-                if v:
-                    members_at.setdefault(i * n + k, []).append((s, v))
+        c, x, z = pauli.decode(m)
+        by_string.setdefault(pauli.pack(x, z, nq), {})[s] = c
     rref = _Rref()
-    for row in _constraint_rows(n, pairs):
-        sub = {}
-        for c, rv in row.items():
-            for s, mv in members_at.get(c, ()):
-                sub[s] = sub.get(s, ZERO) + rv * mv
-        sub = {s: v for s, v in sub.items() if v}
-        if sub:
-            rref.add_row(sub)
+    first_string = None
+    for string, row in by_string.items():
+        if all(pauli.parity(string & mask) == rhs for mask, rhs in rows):
+            if first_string is None:
+                first_string = span[min(row)]
+        else:
+            rref.add_row(row)
     basis = []
     for v in nullspace_from_rref(rref, len(span)):
         m = ExactMatrix.zero(n)
@@ -287,7 +290,7 @@ def _solve_span(model, pairs, span):
             if coef:
                 m = m + mat.scale(coef)
         basis.append(m)
-    return basis
+    return basis, first_string
 
 
 def clifford2_span(model: DiracModel) -> list[ExactMatrix]:
@@ -309,33 +312,30 @@ def _normalize(m: ExactMatrix) -> ExactMatrix:
 _COMBO_WEIGHTS = (0, 1, -1, 2, -2)
 
 
-def _invertible_element(basis: list) -> ExactMatrix | None:
-    """Deterministic scan for an invertible member of the solution space."""
+def _invertible_element(basis: list, first_string: ExactMatrix | None = None):
+    """Deterministic scan for an invertible member of the solution space.
+
+    Up to four basis elements, small integer combinations are tried in a
+    fixed order.  Every solution string is unitary, so past that
+    ``first_string``, a solution string of the space (None when it holds
+    none), is the answer.
+    """
     for b in basis:
         if b.is_invertible():
             return _normalize(b)
     k = len(basis)
     if k <= 1:
         return None
-    if k <= 4:
-        for weights in itertools.product(_COMBO_WEIGHTS, repeat=k):
-            if all(w == 0 for w in weights):
-                continue
-            m = ExactMatrix.zero(basis[0].dim)
-            for w, b in zip(weights, basis):
-                if w:
-                    m = m + b.scale(ExactScalar(w))
-            if m.is_invertible():
-                return _normalize(m)
-        return None
-    rng = random.Random(0)
-    for _ in range(200):
+    if k > 4:
+        return None if first_string is None else _normalize(first_string)
+    for weights in itertools.product(_COMBO_WEIGHTS, repeat=k):
+        if all(w == 0 for w in weights):
+            continue
         m = ExactMatrix.zero(basis[0].dim)
-        for b in basis:
-            w = rng.randint(-3, 3)
+        for w, b in zip(weights, basis):
             if w:
                 m = m + b.scale(ExactScalar(w))
-        if not m.is_zero() and m.is_invertible():
+        if m.is_invertible():
             return _normalize(m)
     return None
 
@@ -348,15 +348,19 @@ def solve_tau(
     variant: str = "",
 ) -> TauSolution:
     """Solve the intertwiner equation of one candidate exactly."""
-    pairs, inconsistencies = _constraint_pairs(model, cand, include_j)
     if ansatz == "full":
-        basis = _solve_full(model, pairs)
+        span = None
     elif ansatz == "clifford2":
-        basis = _solve_span(model, pairs, clifford2_span(model))
+        span = clifford2_span(model)
     else:
         raise ValueError(f"unknown ansatz mode: {ansatz}")
+    rows, inconsistencies = _string_rows(model, cand, include_j)
+    if span is None:
+        basis, first_string = _solve_strings(model, rows)
+    else:
+        basis, first_string = _solve_span(model, rows, span)
     representative = _normalize(basis[0]) if basis else None
-    invertible = _invertible_element(basis)
+    invertible = _invertible_element(basis, first_string)
     phase = None
     if len(basis) == 1 and invertible is not None:
         rep = invertible

@@ -1,0 +1,166 @@
+"""The dense exact intertwiner solver, kept as a test-only oracle.
+
+It writes tau*T(G) - eps*G*tau = 0 as one rational row per matrix entry
+of every (generator, monomial) pair and eliminates the rows exactly, in
+the n^2 entries of tau (``_solve_full``) or in the coordinates of a
+matrix span (``_solve_span``).  It shares nothing with the Pauli-string
+engine in ``diracsym.symmetry`` except the generator symbols, ``transform``
+and the exact kernels, so the two check each other.
+"""
+
+from diracsym.exact import ExactMatrix, ExactScalar, ZERO, _Rref, nullspace_from_rref
+from diracsym.models import DiracModel
+from diracsym.symmetry import (
+    SymmetryCandidate,
+    TauSolution,
+    _generators,
+    _invertible_element,
+    _normalize,
+    clifford2_span,
+    transform,
+)
+
+
+def _sparse_cols(m: ExactMatrix):
+    n = m.dim
+    cols = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            v = m.rows[i][j]
+            if v:
+                cols[j].append((i, v))
+    return cols
+
+
+def _sparse_rows(m: ExactMatrix):
+    return [
+        [(j, v) for j, v in enumerate(r) if v] for r in m.rows
+    ]
+
+
+def _constraint_pairs(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
+    """Yield (label, A, B, eps) with the per-monomial constraint
+    tau*A - eps*B*tau = 0, plus a list of orbital inconsistencies."""
+    inconsistencies = []
+    pairs = []
+    for cls, label, g in _generators(model):
+        if not include_j and cls in ("Jkl", "J0k"):
+            continue
+        eps = cand.eps(cls)
+        tg = transform(g, cand)
+        monos = sorted(set(g.terms) | set(tg.terms))
+        for mono in monos:
+            a = tg.coeff(mono)
+            b = g.coeff(mono)
+            if a.is_zero() and b.is_zero():
+                continue
+            sa = a.scalar_multiple_of_identity()
+            sb = b.scalar_multiple_of_identity()
+            if sa is not None and sb is not None:
+                resid = sa - ExactScalar(eps) * sb
+                if resid.is_zero():
+                    continue  # identically satisfied, no condition on tau
+                inconsistencies.append(
+                    {"generator": label, "monomial": mono, "scale": resid}
+                )
+            pairs.append((label, a, b, eps))
+    return pairs, inconsistencies
+
+
+def _constraint_rows(n: int, pairs):
+    """Yield the nonzero sparse rows of tau*A - eps*B*tau = 0, one per
+    entry (i, j) of every pair; unknown i*n + k is the entry tau[i][k]."""
+    for _, a, b, eps in pairs:
+        acols = _sparse_cols(a)
+        brows = _sparse_rows(b)
+        e = ExactScalar(eps)
+        for i in range(n):
+            bi = brows[i]
+            for j in range(n):
+                row = {}
+                for k, av in acols[j]:
+                    c = i * n + k
+                    row[c] = row.get(c, ZERO) + av
+                for k, bv in bi:
+                    c = k * n + j
+                    nv = row.get(c, ZERO) - e * bv
+                    if nv:
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    yield row
+
+
+def _solve_full(model, pairs):
+    n = model.dim
+    rref = _Rref()
+    for row in _constraint_rows(n, pairs):
+        rref.add_row(row)
+    return [
+        ExactMatrix._make([list(v[i * n : (i + 1) * n]) for i in range(n)])
+        for v in nullspace_from_rref(rref, n * n)
+    ]
+
+
+def _solve_span(model, pairs, span):
+    """The full system under the change of variables tau = sum_s c_s span[s].
+
+    Each row sum_e r_e tau_e becomes sum_s (sum_e r_e span[s]_e) c_s, the
+    (i, j) entry of span[s]*A - eps*B*span[s], with no matrix product.
+    """
+    n = model.dim
+    # entry position -> [(s, nonzero entry of span[s] there)]
+    members_at = {}
+    for s, m in enumerate(span):
+        for i, r in enumerate(m.rows):
+            for k, v in enumerate(r):
+                if v:
+                    members_at.setdefault(i * n + k, []).append((s, v))
+    rref = _Rref()
+    for row in _constraint_rows(n, pairs):
+        sub = {}
+        for c, rv in row.items():
+            for s, mv in members_at.get(c, ()):
+                sub[s] = sub.get(s, ZERO) + rv * mv
+        sub = {s: v for s, v in sub.items() if v}
+        if sub:
+            rref.add_row(sub)
+    basis = []
+    for v in nullspace_from_rref(rref, len(span)):
+        m = ExactMatrix.zero(n)
+        for coef, mat in zip(v, span):
+            if coef:
+                m = m + mat.scale(coef)
+        basis.append(m)
+    return basis
+
+
+
+
+def dense_solve_tau(model, cand, ansatz="full", include_j=True, variant=""):
+    """``solve_tau`` on the dense rows: same output fields, same
+    representative and square-phase rules."""
+    pairs, inconsistencies = _constraint_pairs(model, cand, include_j)
+    if ansatz == "full":
+        basis = _solve_full(model, pairs)
+    else:
+        basis = _solve_span(model, pairs, clifford2_span(model))
+    invertible = _invertible_element(basis)
+    phase = None
+    if len(basis) == 1 and invertible is not None:
+        sq = invertible @ (invertible.conj() if cand.antilinear else invertible)
+        phase = sq.scalar_multiple_of_identity()
+    return TauSolution(
+        candidate=cand,
+        d=model.d,
+        variant=variant,
+        basis=basis,
+        dim=len(basis),
+        representative=_normalize(basis[0]) if basis else None,
+        invertible_representative=invertible,
+        square_phase=phase,
+        orbital_inconsistencies=inconsistencies,
+        ansatz=ansatz,
+    )

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from diracsym import ExactMatrix, model_for, verify_certificate
-from diracsym import cli
+from diracsym import ExactMatrix, ExactScalar, model_for, verify_certificate
+from diracsym import cli, symmetry
 from diracsym.cli import main
 
 from conftest import proj_equal
@@ -122,6 +122,9 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         (["classify", "--dims", "4,16"], f"at most {cli.MAX_DIM}"),
         (["classify", "--dims", "2", "--jobs", "0"], "at least 1"),
         (["classify", "--dims", "2", "--jobs", "-3"], "at least 1"),
+        (["classify", "--dims", "x"], "expected an even integer dimension, got 'x'"),
+        (["classify", "--dims", "2", "--jobs", "x"], "expected a positive integer, got 'x'"),
+        (["gamma", "--dim", "x"], "expected an even integer dimension, got 'x'"),
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -148,6 +151,22 @@ def test_failed_internal_check_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "little_group_labels", failing)
     assert run(["labels", "--dim", "4"]) == 2
     assert "rep_dim" in capsys.readouterr().err
+
+
+def test_non_string_generator_coefficient_exits_2(monkeypatch, capsys):
+    # a coefficient the Pauli-string solver cannot decode is a failed
+    # internal check, never a verdict
+    real = symmetry.generator
+
+    def mixed(model, which, k=0, l=0):
+        g = real(model, which, k=k, l=l)
+        if which == "P0":
+            g = g + real(model, "Pk", k=1).scale(ExactScalar(2))
+        return g
+
+    monkeypatch.setattr(symmetry, "generator", mixed)
+    assert run(["solve-tau", "--dim", "2", "--symmetry", "C"]) == 2
+    assert "not a Pauli string" in capsys.readouterr().err
 
 
 def test_stdout_json_when_no_out(capsys):

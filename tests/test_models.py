@@ -1,5 +1,6 @@
 """Operator symbols, canonical ordering, and the model generators."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from diracsym import ExactMatrix, ExactScalar, OperatorSymbol, doubled, generator, model_for
 from diracsym.exact import I_UNIT
 from diracsym.models import (
+    block_diag,
     dispersion_scalar,
     hamiltonian,
     p_monomial,
@@ -173,6 +175,20 @@ class TestDoubledModel:
             for j in range(n):
                 assert h[i, j] == hp[i, j]
                 assert h[n + i, n + j] == hm[i, j]
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_alphas_built_once_per_model(d):
+    single = model_for(d, mass=1)
+    assert single.alphas == single.gamma.alphas()
+    assert single.alphas is single.alphas
+    dbl = doubled(single)
+    assert dbl.alphas == [block_diag(a, a) for a in single.gamma.alphas()]
+    assert dbl.alphas is dbl.alphas
+    other = replace(single, mass=Fraction(3))
+    assert other.alphas == single.alphas
+    assert other.alphas is not single.alphas
+    assert doubled(single).alphas is not dbl.alphas
 
 
 def test_negative_mass_rejected():

@@ -1,0 +1,171 @@
+"""The Pauli-string solver against the dense oracle and the stored table."""
+
+import hashlib
+import json
+import pathlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diracsym import ExactMatrix, ExactScalar, pauli, solve_tau, verify_tau
+from diracsym import symmetry
+from diracsym.certificate import tau_solution_json
+from diracsym.models import model_for
+from diracsym.symmetry import (
+    CANDIDATES,
+    PARITY,
+    VARIANTS,
+    _invertible_element,
+    model_for_variant,
+)
+
+from dense_oracle import dense_solve_tau
+
+EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+def _cert_bytes(sol):
+    """basis, both representatives, square_phase, orbital_inconsistencies
+    and the verdict, as certificate JSON."""
+    return json.dumps(tau_solution_json(sol), sort_keys=True)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_full_matches_dense_oracle(d, variant):
+    model = model_for_variant(d, variant)
+    for name, cand in CANDIDATES.items():
+        for include_j in (True, False):
+            got = solve_tau(model, cand, include_j=include_j, variant=variant)
+            want = dense_solve_tau(model, cand, include_j=include_j, variant=variant)
+            assert _cert_bytes(got) == _cert_bytes(want), (name, include_j)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("variant", ["single", "single-", "massless"])
+def test_clifford2_matches_dense_oracle(d, variant):
+    model = model_for_variant(d, variant)
+    for name, cand in CANDIDATES.items():
+        got = solve_tau(model, cand, ansatz="clifford2", variant=variant)
+        want = dense_solve_tau(model, cand, ansatz="clifford2", variant=variant)
+        assert _cert_bytes(got) == _cert_bytes(want), name
+
+
+def _fingerprint(m: ExactMatrix) -> str:
+    text = json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_all_stored_cells_match():
+    expected = json.loads(EXPECTED.read_text())
+    assert (len(expected["full"]), len(expected["clifford2"])) == (112, 63)
+    for ansatz in ("full", "clifford2"):
+        for key, want in expected[ansatz].items():
+            d, variant, name = key.split("/")
+            model = model_for_variant(int(d), variant, mass=Fraction(1))
+            sol = solve_tau(model, CANDIDATES[name], ansatz=ansatz, variant=variant)
+            rep = sol.invertible_representative
+            got = [sol.exists, sol.dim, _fingerprint(rep) if rep else None]
+            assert got == want, (ansatz, key)
+
+
+def test_ratio_off_the_unit_signs_empties_the_cell(monkeypatch):
+    # a (1+i)*I momentum coefficient: an antilinear candidate meets
+    # r = +-(1+i)/(1-i) = +-i, which no string and no dense tau satisfies
+    real = symmetry.generator
+
+    def tilted(model, which, k=0, l=0):
+        g = real(model, which, k=k, l=l)
+        return g.scale(ExactScalar(1, 1)) if which == "Pk" else g
+
+    monkeypatch.setattr(symmetry, "generator", tilted)
+    model = model_for(4)
+    for name in ("P", "Tw", "C", "TpC"):
+        got = solve_tau(model, CANDIDATES[name])
+        want = dense_solve_tau(model, CANDIDATES[name])
+        assert _cert_bytes(got) == _cert_bytes(want), name
+        assert got.exists == (not CANDIDATES[name].antilinear), name
+
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_nonzero = st.tuples(_rationals, _rationals).filter(any).map(lambda p: ExactScalar(*p))
+
+
+@st.composite
+def _strings(draw, min_q=0):
+    q = draw(st.integers(min_q, 3))
+    n = 1 << q
+    return draw(_nonzero), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_strings())
+def test_decode_inverts_encode(s):
+    c, x, z, n = s
+    m = pauli.encode(c, x, z, n)
+    assert pauli.decode(m) == (c, x, z)
+    # the encoding is the product of one-qubit factors X^x Z^z
+    for r, row in enumerate(m.rows):
+        col = r ^ x
+        sign = (-1) ** bin(col & z).count("1")
+        assert [j for j, v in enumerate(row) if v] == [col]
+        assert row[col] == c * ExactScalar(sign)
+
+
+# From four basis states on, two strings differ in at least two entries,
+# so every single changed entry leaves the set of strings.
+@settings(max_examples=200, deadline=None)
+@given(_strings(min_q=2), st.data())
+def test_any_single_perturbed_entry_raises(s, data):
+    c, x, z, n = s
+    m = pauli.encode(c, x, z, n)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    delta = data.draw(_nonzero)
+    rows = [list(r) for r in m.rows]
+    rows[i][j] = rows[i][j] + delta
+    with pytest.raises(ArithmeticError):
+        pauli.decode(ExactMatrix(rows))
+
+
+def test_decode_rejects_other_dimensions_and_zero():
+    with pytest.raises(ArithmeticError):
+        pauli.decode(ExactMatrix.identity(3))
+    with pytest.raises(ArithmeticError):
+        pauli.decode(ExactMatrix.zero(4))
+
+
+def test_solve_affine_lists_every_solution():
+    # s0 ^ s1 = 1, s1 = 0 over three bits: s = 0b001 and 0b101
+    assert pauli.solve_affine([(0b011, 1), (0b010, 0)], 3) == [0b001, 0b101]
+    assert pauli.solve_affine([(0b011, 1), (0b011, 0)], 3) == []
+    assert pauli.solve_affine([], 2) == [0, 1, 2, 3]
+
+
+def test_more_than_four_basis_elements_take_the_first_string():
+    n = 4
+    units = []
+    for k in range(5):
+        rows = [[ExactScalar(0)] * n for _ in range(n)]
+        rows[k % n][k % n] = ExactScalar(1)
+        units.append(ExactMatrix(rows))
+    string = pauli.encode(ExactScalar(0, 3), 1, 2, n)
+    got = _invertible_element(units, string)
+    assert got == string.scale(ExactScalar(1) / ExactScalar(0, 3))
+    assert _invertible_element(units, None) is None
+
+
+def test_solve_tau_reaches_the_first_string_branch(monkeypatch):
+    # with the momenta alone every string commutes with every constraint:
+    # all 16 strings at d=4 solve, and no basis element is invertible
+    real = symmetry._generators
+    monkeypatch.setattr(
+        symmetry, "_generators", lambda model: [g for g in real(model) if g[0] == "Pk"]
+    )
+    model = model_for(4)
+    sol = solve_tau(model, PARITY)
+    assert sol.dim == 16
+    assert not any(b.is_invertible() for b in sol.basis)
+    assert sol.invertible_representative == ExactMatrix.identity(4)
+    assert verify_tau(model, PARITY, sol.invertible_representative)

@@ -31,13 +31,13 @@ from diracsym.symmetry import (
     TPC,
     TW,
     TWC,
-    _constraint_pairs,
     _invertible_element,
     _normalize,
     clifford2_span,
 )
 
 from conftest import proj_equal
+from dense_oracle import _constraint_pairs
 
 
 def _dense_span_basis(model, cand):
