@@ -3,7 +3,7 @@ gamma-system construction, discrete-symmetry intertwiner solving,
 classification, spectral certificates, and reproducible JSON output.
 """
 
-from .exact import ExactMatrix, ExactScalar, kron, nullspace, rank
+from .exact import ExactMatrix, ExactScalar, nullspace, rank
 from .clifford import (
     GammaSystem,
     base_system,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ExactMatrix",
     "ExactScalar",
-    "kron",
     "nullspace",
     "rank",
     "GammaSystem",

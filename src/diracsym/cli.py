@@ -69,8 +69,38 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _distinct(items: list, what: str) -> list:
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise argparse.ArgumentTypeError(f"{what} {item} is given twice")
+    return items
+
+
 def _even_dims(value: str) -> list[int]:
-    return [_even_dim(x) for x in value.split(",")]
+    return _distinct([_even_dim(x) for x in value.split(",")], "dimension")
+
+
+def _variants(value: str) -> list[str]:
+    names = value.split(",")
+    for v in names:
+        if v not in VARIANTS:
+            raise argparse.ArgumentTypeError(
+                f"unknown variant {v!r}, want one of {', '.join(VARIANTS)}"
+            )
+    return _distinct(names, "variant")
+
+
+def _rational(value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number such as 3/7, got {value!r}"
+        ) from None
+
+
+def _momentum(value: str) -> list[Fraction]:
+    return [_rational(x) for x in value.split(",")]
 
 
 def _expectation(value: str) -> tuple[str, bool]:
@@ -104,7 +134,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_solve_tau(args) -> int:
-    model = model_for_variant(args.dim, args.variant, mass=Fraction(args.mass))
+    model = model_for_variant(args.dim, args.variant, mass=args.mass)
     sol = solve_tau(
         model, CANDIDATES[args.symmetry], ansatz=args.ansatz, variant=args.variant
     )
@@ -125,15 +155,8 @@ def _cmd_solve_tau(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    dims = args.dims
-    variants = args.variants.split(",")
-    for v in variants:
-        if v not in VARIANTS:
-            print(f"unknown variant: {v}", file=sys.stderr)
-            return EXIT_USAGE
-    records = classify(
-        dims, variants=tuple(variants), mass=Fraction(args.mass), jobs=args.jobs
-    )
+    dims, variants = args.dims, args.variants
+    records = classify(dims, variants=tuple(variants), mass=args.mass, jobs=args.jobs)
     results = [cert.classification_json(r) for r in records]
     expected = dict(args.expect or [])
     mismatches = []
@@ -179,15 +202,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    model = model_for(args.dim, mass=Fraction(args.mass))
-    p = [Fraction(x) for x in args.p.split(",")]
-    if len(p) != args.dim:
+    model = model_for(args.dim, mass=args.mass)
+    if len(args.p) != args.dim:
         print("momentum must have exactly d components", file=sys.stderr)
         return EXIT_USAGE
-    block = dispersion_check(model, p)
+    block = dispersion_check(model, args.p)
     payload = cert.make_certificate(
         "spectrum",
-        {"d": args.dim, "mass": cert.frac_json(args.mass), "p": [str(x) for x in p]},
+        {"d": args.dim, "mass": cert.frac_json(args.mass), "p": [str(x) for x in args.p]},
         cert.dispersion_json(block),
         {"gamma_recursion_normalization"},
     )
@@ -199,7 +221,7 @@ def _cmd_labels(args) -> int:
     if args.dim != 4:
         print("little-group labels are computed for --dim 4", file=sys.stderr)
         return EXIT_USAGE
-    model = model_for_variant(4, args.variant, mass=Fraction(args.mass))
+    model = model_for_variant(4, args.variant, mass=args.mass)
     labels = little_group_labels(model)
     payload = cert.make_certificate(
         "labels",
@@ -209,6 +231,17 @@ def _cmd_labels(args) -> int:
     )
     _emit(args, payload)
     return EXIT_OK
+
+
+def _classify_summary(results) -> tuple[list[str], bool]:
+    """One line of verdicts per table row, and whether any claim failed."""
+    order = {name: i for i, name in enumerate(CLASSIFY_ORDER)}
+    lines = []
+    for row in results["table"]:
+        entries = sorted(row["entries"].items(), key=lambda kv: order.get(kv[0], len(order)))
+        verdicts = ", ".join(f"{name}={'yes' if e['exists'] else 'no'}" for name, e in entries)
+        lines.append(f"  d={row['d']} {row['variant']}: {verdicts}")
+    return lines, bool(results["mismatches"])
 
 
 def _cmd_report(args) -> int:
@@ -232,20 +265,18 @@ def _cmd_report(args) -> int:
             status = EXIT_MISMATCH
             continue
         if c.get("kind") == "classify":
-            for row in c["results"]["table"]:
-                verdicts = ", ".join(
-                    f"{name}={'yes' if e['exists'] else 'no'}"
-                    for name, e in sorted(
-                        row["entries"].items(),
-                        key=lambda kv: (
-                            CLASSIFY_ORDER.index(kv[0])
-                            if kv[0] in CLASSIFY_ORDER
-                            else len(CLASSIFY_ORDER)
-                        ),
-                    )
+            try:
+                lines, mismatched = _classify_summary(c["results"])
+            except (KeyError, TypeError, AttributeError) as exc:
+                print(
+                    f"{path}: unreadable certificate: malformed classify results "
+                    f"({type(exc).__name__}: {exc})",
+                    file=sys.stderr,
                 )
-                print(f"  d={row['d']} {row['variant']}: {verdicts}")
-            if c["results"]["mismatches"]:
+                return EXIT_USAGE
+            for line in lines:
+                print(line)
+            if mismatched:
                 status = EXIT_MISMATCH
         for flag in c.get("flags", {}):
             print(f"  flag: {flag}")
@@ -278,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-tau", help="solve one intertwiner equation exactly")
     p.add_argument("--dim", type=_even_dim, required=True)
     p.add_argument("--variant", choices=VARIANTS, default="single")
-    p.add_argument("--mass", default="1")
+    p.add_argument("--mass", type=_rational, default="1")
     p.add_argument("--symmetry", choices=sorted(CANDIDATES), required=True)
     p.add_argument("--ansatz", choices=("full", "clifford2"), default="full")
     output(p)
@@ -288,8 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dims", type=_even_dims, required=True, help="comma-separated even dims"
     )
-    p.add_argument("--variants", default="single")
-    p.add_argument("--mass", default="1")
+    p.add_argument(
+        "--variants", type=_variants, default="single", help="comma-separated variants"
+    )
+    p.add_argument("--mass", type=_rational, default="1")
     p.add_argument(
         "--expect",
         action="append",
@@ -308,15 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exact dispersion certificate H(p)^2")
     p.add_argument("--dim", type=_even_dim, required=True)
-    p.add_argument("--mass", default="1")
-    p.add_argument("--p", required=True, help="comma-separated momentum")
+    p.add_argument("--mass", type=_rational, default="1")
+    p.add_argument(
+        "--p", type=_momentum, required=True, help="comma-separated rational momentum"
+    )
     output(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("labels", help="little-group labels of a massive d=4 model")
     p.add_argument("--dim", type=_even_dim, default=4)
     p.add_argument("--variant", choices=("single", "single-", "doubled"), default="single")
-    p.add_argument("--mass", default="1")
+    p.add_argument("--mass", type=_rational, default="1")
     output(p)
     p.set_defaults(func=_cmd_labels)
 
@@ -332,7 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

@@ -1,8 +1,10 @@
 """Gamma-matrix systems for the groups P(1,d), d even.
 
-The d=2 base system lives on 2x2 Pauli matrices; higher dimensions are
-built by a tensor-product doubling step.  Two conventions are fixed here
-once and for all:
+Every gamma is one scalar times one Pauli string c * X^x Z^z (``pauli``),
+and a system holds the d+1 strings (c, x, z); the dense matrices are
+their encodings.  The d=2 base system lives on one qubit; higher
+dimensions are built by a doubling step that adds one.  Two conventions
+are fixed here once and for all:
 
 * Metric (+, -, -, ..., -): gamma_0 squares to +I, spatial gammas to -I.
 * The doubling step maps old gammas to ``gamma ox sigma_3`` and appends
@@ -13,6 +15,11 @@ once and for all:
   imaginary, beta real) is preserved at every even d.  That pattern is
   what makes the classical intertwiner matrices (alpha_1*alpha_3 and
   friends) come out literally, not just up to a change of basis.
+
+In strings: the d=2 gammas are Z, -XZ and -iX.  The new qubit of a
+doubling step is bit 0 of the basis index, as in ``kron(gamma, s3)``:
+the old masks shift up one bit, the old gammas gain Z on bit 0, and the
+two new gammas are -XZ and iX on bit 0 alone.
 """
 
 from __future__ import annotations
@@ -20,25 +27,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exact import ExactMatrix, ExactScalar, I_UNIT, kron, matmul, rank
-
-SIGMA1 = ExactMatrix([[0, 1], [1, 0]])
-SIGMA2 = ExactMatrix(
-    [
-        [ExactScalar(0), ExactScalar(0, -1)],
-        [ExactScalar(0, 1), ExactScalar(0)],
-    ]
-)
-SIGMA3 = ExactMatrix([[1, 0], [0, -1]])
-I2 = ExactMatrix.identity(2)
+from . import pauli
+from .exact import ExactMatrix, I_UNIT, MINUS_ONE, ONE, matmul, rank
 
 
 @dataclass(frozen=True)
 class GammaSystem:
-    """d+1 gamma matrices with metric diag(+1, -1, ..., -1)."""
+    """d+1 gamma matrices with metric diag(+1, -1, ..., -1), held as the
+    Pauli strings (c, x, z) of gamma_0 ... gamma_d."""
 
     d: int
-    gammas: tuple  # gamma_0 ... gamma_d, ExactMatrix each
+    strings: tuple
 
     @property
     def rep_dim(self) -> int:
@@ -50,28 +49,37 @@ class GammaSystem:
         return 1 if mu == 0 else -1
 
     @property
+    def gammas(self) -> tuple:
+        """gamma_0 ... gamma_d as dense matrices."""
+        n = self.rep_dim
+        return tuple(pauli.encode(*s, n) for s in self.strings)
+
+    @property
     def gamma0(self) -> ExactMatrix:
-        return self.gammas[0]
+        return pauli.encode(*self.strings[0], self.rep_dim)
+
+    def alpha_strings(self) -> list:
+        """alpha_k = gamma_0 * gamma_k for k = 1..d, as strings."""
+        g0 = self.strings[0]
+        return [pauli.mul(g0, g) for g in self.strings[1:]]
 
     def alphas(self) -> list[ExactMatrix]:
-        """alpha_k = gamma_0 * gamma_k for k = 1..d."""
-        g0 = self.gammas[0]
-        return [matmul(g0, g) for g in self.gammas[1:]]
+        n = self.rep_dim
+        return [pauli.encode(*s, n) for s in self.alpha_strings()]
 
     @property
     def beta(self) -> ExactMatrix:
-        return self.gammas[0]
+        return self.gamma0
 
     def check_relations(self) -> list[dict]:
-        """Per-pair Clifford relation report (all exact)."""
+        """Per-pair Clifford relation report, checked on the dense
+        matrices independently of the string recursion (all exact)."""
         report = []
-        n = self.rep_dim
-        ident = ExactMatrix.identity(n)
+        gammas = self.gammas
+        ident = ExactMatrix.identity(self.rep_dim)
         for mu in range(self.d + 1):
             for nu in range(mu, self.d + 1):
-                lhs = matmul(self.gammas[mu], self.gammas[nu]) + matmul(
-                    self.gammas[nu], self.gammas[mu]
-                )
+                lhs = matmul(gammas[mu], gammas[nu]) + matmul(gammas[nu], gammas[mu])
                 want = ident.scale(2 * self.metric(mu, nu))
                 report.append(
                     {"mu": mu, "nu": nu, "ok": lhs == want}
@@ -84,35 +92,29 @@ class GammaSystem:
 
 @dataclass(frozen=True)
 class CliffordMonomial:
-    """Ordered product of a subset of the gammas."""
+    """Ordered product of a subset of the gammas: its string and matrix."""
 
     index_subset: tuple
+    string: tuple
     matrix: ExactMatrix
 
 
 def base_system() -> GammaSystem:
-    """The d=2 system: gamma_0 = s3, gamma_1 = s3*s1, gamma_2 = s3*s2.
+    """The d=2 system: gamma_0 = s3, gamma_1 = s3*s1, gamma_2 = s3*s2,
+    the strings Z, -XZ and -iX.
 
     The derived alpha_1, alpha_2, beta are then s1, s2, s3.
     """
     return GammaSystem(
-        d=2,
-        gammas=(
-            SIGMA3,
-            matmul(SIGMA3, SIGMA1),
-            matmul(SIGMA3, SIGMA2),
-        ),
+        d=2, strings=((ONE, 0, 1), (MINUS_ONE, 1, 1), (-I_UNIT, 1, 0))
     )
 
 
 def extend(gs: GammaSystem) -> GammaSystem:
-    """Doubling step P(1,d) -> P(1,d+2); rep dimension doubles."""
-    old = [kron(g, SIGMA3) for g in gs.gammas]
-    n = gs.rep_dim
-    ident = ExactMatrix.identity(n)
-    new1 = kron(ident, SIGMA2).scale(I_UNIT)
-    new2 = kron(ident, SIGMA1).scale(I_UNIT)
-    return GammaSystem(d=gs.d + 2, gammas=tuple(old) + (new1, new2))
+    """Doubling step P(1,d) -> P(1,d+2); the new qubit is bit 0."""
+    old = tuple((c, x << 1, z << 1 | 1) for c, x, z in gs.strings)
+    new = ((MINUS_ONE, 1, 1), (I_UNIT, 1, 0))
+    return GammaSystem(d=gs.d + 2, strings=old + new)
 
 
 def system_for(d: int) -> GammaSystem:
@@ -133,14 +135,13 @@ def monomial_basis(gs: GammaSystem, max_degree: int) -> list[CliffordMonomial]:
     if max_degree > gs.d + 1:
         raise ValueError("max_degree exceeds the number of gammas")
     out = []
-    ident = ExactMatrix.identity(gs.rep_dim)
-    indices = range(gs.d + 1)
+    n = gs.rep_dim
     for deg in range(max_degree + 1):
-        for subset in itertools.combinations(indices, deg):
-            m = ident
+        for subset in itertools.combinations(range(gs.d + 1), deg):
+            s = (ONE, 0, 0)
             for idx in subset:
-                m = matmul(m, gs.gammas[idx])
-            out.append(CliffordMonomial(index_subset=subset, matrix=m))
+                s = pauli.mul(s, gs.strings[idx])
+            out.append(CliffordMonomial(subset, s, pauli.encode(*s, n)))
     return out
 
 
@@ -154,3 +155,4 @@ def monomials_span_full_space(gs: GammaSystem) -> bool:
             [mon.matrix[i, j] for i in range(n) for j in range(n)]
         )
     return rank(rows) == n * n
+

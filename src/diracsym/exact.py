@@ -329,24 +329,6 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._make(out)
 
 
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product, a-index major block layout."""
-    na, nb = a.dim, b.dim
-    n = na * nb
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            aij = a.rows[i][j]
-            if not aij:
-                continue
-            for k in range(nb):
-                for l in range(nb):
-                    bkl = b.rows[k][l]
-                    if bkl:
-                        out[i * nb + k][j * nb + l] = aij * bkl
-    return ExactMatrix._make(out)
-
-
 Row = Union[Mapping[int, Entry], Sequence[Entry]]
 
 

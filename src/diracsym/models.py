@@ -1,9 +1,12 @@
 """Dynamical objects: Dirac-type Hamiltonians and Poincare-type generators.
 
-Generators are represented as operator symbols: normal-ordered polynomials
-in t, x_1..x_d, p_1..p_d with exact matrix coefficients.  Normal order
-puts every x factor to the left of every p factor; symbol multiplication
-implements [x_k, p_l] = i*delta_kl exactly.
+The generators are given in closed form as {monomial: Pauli string}: a
+monomial in t, x_1..x_d, p_1..p_d in normal order (every x factor left of
+every p factor), and one string (c, x, z) of ``pauli`` as its matrix
+coefficient.  ``symbol`` encodes them as operator symbols, normal-ordered
+polynomials with exact dense matrix coefficients whose multiplication
+implements [x_k, p_l] = i*delta_kl exactly; that algebra is the
+independent check on the closed forms.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
+from . import pauli
 from .clifford import GammaSystem, system_for
 from .exact import (
     ExactMatrix,
     ExactScalar,
-    I_UNIT,
+    MINUS_ONE,
     ONE,
     ZERO,
-    kron,
     matmul,
 )
 
@@ -201,66 +204,46 @@ class DiracModel:
         n = self.gamma.rep_dim
         return 2 * n if self.doubled else n
 
+    @property
+    def beta_string(self) -> tuple:
+        """beta = gamma_0 as a string.  A doubled model gains Z on its top
+        qubit, diag(beta, -beta), and is the identity there on the alphas,
+        whose strings ``gamma.alpha_strings()`` therefore serve both."""
+        c, x, z = self.gamma.strings[0]
+        if self.doubled:
+            z |= self.gamma.rep_dim
+        return c, x, z
+
     @cached_property
     def alphas(self) -> list[ExactMatrix]:
-        """alpha_k = gamma_0 * gamma_k, block-doubled on doubled models;
-        built once per model."""
-        base = self.gamma.alphas()
-        if not self.doubled:
-            return base
-        return [block_diag(a, a) for a in base]
+        """The dense alpha matrices, built once per model."""
+        return [pauli.encode(*s, self.dim) for s in self.gamma.alpha_strings()]
 
     @property
     def beta(self) -> ExactMatrix:
-        b = self.gamma.beta
-        if not self.doubled:
-            return b
-        return block_diag(b, -b)
+        return pauli.encode(*self.beta_string, self.dim)
 
     def hamiltonian_matrix(self, p) -> ExactMatrix:
         """H(p) for a rational momentum vector p of length d.
 
-        One pass over the nonzero entries of the alphas and beta.
+        One entry per row of each of the d+1 strings.
         """
         if len(p) != self.d:
             raise ValueError(f"momentum must have {self.d} components")
         n = self.dim
         rows = [[ZERO] * n for _ in range(n)]
         coeffs = [*p, self.branch * self.mass]
-        for c, m in zip(coeffs, [*self.alphas, self.beta]):
-            c = ExactScalar(Fraction(c))
+        strings = [*self.gamma.alpha_strings(), self.beta_string]
+        for coef, (c, x, z) in zip(coeffs, strings):
+            c = c * ExactScalar(Fraction(coef))
             if not c:
                 continue
-            for out, r in zip(rows, m.rows):
-                for j, v in enumerate(r):
-                    if v:
-                        s = out[j]
-                        out[j] = c * v if s is ZERO else s + c * v
+            neg = -c
+            for r, row in enumerate(rows):
+                j = r ^ x
+                v = neg if pauli.parity(j & z) else c
+                row[j] = v if row[j] is ZERO else row[j] + v
         return ExactMatrix._make(rows)
-
-
-def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """[[a, 0], [0, b]] as one exact matrix."""
-    n = a.dim
-    out = ExactMatrix.zero(2 * n)
-    rows = [list(r) for r in out.rows]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = a.rows[i][j]
-            rows[n + i][n + j] = b.rows[i][j]
-    return ExactMatrix._make(rows)
-
-
-def block_antidiag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """[[0, a], [b, 0]] as one exact matrix."""
-    n = a.dim
-    out = ExactMatrix.zero(2 * n)
-    rows = [list(r) for r in out.rows]
-    for i in range(n):
-        for j in range(n):
-            rows[i][n + j] = a.rows[i][j]
-            rows[n + i][j] = b.rows[i][j]
-    return ExactMatrix._make(rows)
 
 
 def model_for(
@@ -281,63 +264,71 @@ def doubled(model: DiracModel) -> DiracModel:
     return replace(model, doubled=True, branch=1)
 
 
+def symbol(model: DiracModel, gen: dict) -> OperatorSymbol:
+    """A {monomial: string} generator as a dense operator symbol."""
+    n = model.dim
+    return OperatorSymbol(
+        model.d, n, {mono: pauli.encode(*s, n) for mono, s in gen.items()}
+    )
+
+
 def hamiltonian(model: DiracModel) -> OperatorSymbol:
     """H = sum_k alpha_k p_k + branch * mass * beta as a symbol."""
-    d, n = model.d, model.dim
-    sym = OperatorSymbol(d, n)
-    for k, ak in enumerate(model.alphas, start=1):
-        sym._add_term(p_monomial(d, k), ak)
-    if model.mass:
-        sym._add_term(
-            unit_monomial(d),
-            model.beta.scale(ExactScalar(model.branch * model.mass)),
-        )
-    return sym
+    return symbol(model, generator(model, "P0"))
 
 
-def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> OperatorSymbol:
-    """One Poincare-type generator as a normal-ordered symbol.
+def _times(c: ExactScalar, s: tuple) -> tuple:
+    return pauli.mul((c, 0, 0), s)
+
+
+_IDENTITY = (ONE, 0, 0)
+_HALF_I = ExactScalar(0, Fraction(1, 2))
+
+
+def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
+    """One Poincare-type generator in closed form, as {monomial: string}.
 
     which: "P0", "Pk" (needs k), "Jkl" (needs k < l), "J0k" (needs k).
-    The J0k symbol is the normal-ordered form t*p_k - x_k*H + (i/2)*alpha_k,
-    the symmetrized boost reordered with [x_k, p_l] = i*delta_kl.
+    With bm = branch*mass, and the beta terms dropped when the mass is 0:
+
+        P0  = sum_j alpha_j p_j + bm*beta
+        Pk  = p_k
+        Jkl = x_k p_l - x_l p_k + (i/2)*alpha_l*alpha_k
+        J0k = t p_k - sum_j alpha_j x_k p_j - bm*beta x_k + (i/2)*alpha_k
+
+    J0k is t*p_k - x_k*H + (i/2)*alpha_k, the symmetrized boost
+    t*p_k - (x_k*H + H*x_k)/2 reordered with [x_k, p_l] = i*delta_kl.
     """
-    d, n = model.d, model.dim
-    ident = ExactMatrix.identity(n)
-    sym = OperatorSymbol(d, n)
+    d = model.d
+    alphas = model.gamma.alpha_strings()
+    bm_beta = _times(ExactScalar(model.branch * model.mass), model.beta_string)
     if which == "P0":
-        return hamiltonian(model)
+        gen = {p_monomial(d, j): a for j, a in enumerate(alphas, start=1)}
+        if model.mass:
+            gen[unit_monomial(d)] = bm_beta
+        return gen
     if which == "Pk":
         _check_index(k, d)
-        sym._add_term(p_monomial(d, k), ident)
-        return sym
+        return {p_monomial(d, k): _IDENTITY}
     if which == "Jkl":
         _check_index(k, d)
         _check_index(l, d)
         if k == l:
             raise ValueError("Jkl needs two distinct spatial indices")
-        xk_pl = _mono_xp(d, k, l)
-        xl_pk = _mono_xp(d, l, k)
-        sym._add_term(xk_pl, ident)
-        sym._add_term(xl_pk, -ident)
-        spin = matmul(model.alphas[l - 1], model.alphas[k - 1]).scale(
-            ExactScalar(0, Fraction(1, 2))
-        )
-        sym._add_term(unit_monomial(d), spin)
-        return sym
+        return {
+            _mono_xp(d, k, l): _IDENTITY,
+            _mono_xp(d, l, k): (MINUS_ONE, 0, 0),
+            unit_monomial(d): _times(_HALF_I, pauli.mul(alphas[l - 1], alphas[k - 1])),
+        }
     if which == "J0k":
         _check_index(k, d)
-        tmono = (1, *p_monomial(d, k)[1:])
-        sym._add_term(tmono, ident)
-        h = hamiltonian(model)
-        xk = OperatorSymbol(d, n)
-        xk._add_term(x_monomial(d, k), ident)
-        sym = sym - (xk * h)
-        sym._add_term(
-            unit_monomial(d),
-            model.alphas[k - 1].scale(ExactScalar(0, Fraction(1, 2))),
-        )
-        return sym
+        gen = {(1, *p_monomial(d, k)[1:]): _IDENTITY}
+        for j, a in enumerate(alphas, start=1):
+            gen[_mono_xp(d, k, j)] = _times(MINUS_ONE, a)
+        if model.mass:
+            gen[x_monomial(d, k)] = _times(MINUS_ONE, bm_beta)
+        gen[unit_monomial(d)] = _times(_HALF_I, alphas[k - 1])
+        return gen
     raise ValueError(f"unknown generator kind: {which}")
 
 

@@ -5,7 +5,8 @@ row index.  Z^z multiplies |r> by (-1)^|r&z| and X^x sends |r> to
 |r^x>, so the matrix of c * X^x Z^z has one nonzero per row r: the
 entry c * (-1)^|(r^x)&z| in column r^x.
 
-Strings multiply up to a sign and commute up to the symplectic form
+A string is held as the triple (c, x, z).  Strings multiply up to a sign
+and commute up to the symplectic form
 
     S*P = (-1)^<S,P> * P*S,   <S,P> = |x_S & z_P| + |z_S & x_P|  (mod 2),
 
@@ -44,30 +45,13 @@ def symplectic_mask(x: int, z: int, q: int) -> int:
     return z | x << q
 
 
-def decode(m: ExactMatrix) -> tuple[ExactScalar, int, int]:
-    """(c, x, z) with m == c * X^x Z^z, every entry checked.
-
-    Raises ArithmeticError when m is not a nonzero multiple of one string.
-    """
-    n = m.dim
-    q = qubits(n)
-    rows = m.rows
-    x = next((j for j, v in enumerate(rows[0]) if v), None)
-    if x is None:
-        raise ArithmeticError("not a Pauli string: row 0 is zero")
-    head = rows[0][x]
-    z = 0
-    for b in range(q):
-        r = 1 << b
-        if rows[r][r ^ x] != head:
-            z |= r
-    c = -head if parity(x & z) else head
-    for r, row in enumerate(rows):
-        col = r ^ x
-        want = -c if parity(col & z) else c
-        if row[col] != want or any(row[:col]) or any(row[col + 1 :]):
-            raise ArithmeticError(f"not a Pauli string: row {r} differs")
-    return c, x, z
+def mul(a: tuple, b: tuple) -> tuple:
+    """The product of strings a = (c1, x1, z1) and b = (c2, x2, z2):
+    Z^z1 X^x2 = (-1)^|z1&x2| X^x2 Z^z1 gives (c, x1^x2, z1^z2)."""
+    c1, x1, z1 = a
+    c2, x2, z2 = b
+    c = c1 * c2
+    return (-c if parity(z1 & x2) else c), x1 ^ x2, z1 ^ z2
 
 
 def encode(c: ExactScalar, x: int, z: int, n: int) -> ExactMatrix:

@@ -11,12 +11,13 @@ T(G) is the transformed generator symbol: t -> t_sign*t, x -> x_sign*x,
 p -> x_sign*p (with an extra sign flip of p and conjugated matrix
 coefficients when S is antilinear).
 
-Every coefficient of these generators is one scalar times one Pauli
-string, so the equation is diagonal in strings: a string tau either
-solves all of it or none of it, and the strings that solve it are the
-solutions of an affine system over GF(2) (``pauli``).  Dense matrices are
-built only for the solution strings, in the basis an exact nullspace
-computation on the entries of tau would give.
+The generators are given in closed form, every coefficient one scalar
+times one Pauli string (``models.generator``), so the equation is
+diagonal in strings: a string tau either solves all of it or none of it,
+and the strings that solve it are the solutions of an affine system over
+GF(2) (``pauli``).  Dense matrices are built only for the solution
+strings, in the basis an exact nullspace computation on the entries of
+tau would give.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import pauli
-from .clifford import monomial_basis
+from .clifford import CliffordMonomial, monomial_basis
 from .exact import (
     ExactMatrix,
     ExactScalar,
@@ -41,6 +42,7 @@ from .models import (
     OperatorSymbol,
     generator,
     model_for,
+    symbol,
 )
 
 GENERATOR_CLASSES = ("P0", "Pk", "Jkl", "J0k")
@@ -186,7 +188,7 @@ def _generators(model: DiracModel):
 def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
-    Every generator coefficient is one string, B = lam*P, and its image
+    Every generator coefficient is a string B = lam*P, and its image
     in T(G) is A = lam_A*P with lam_A from the same sign and conjugation
     rule as ``transform``.  Then S*A = eps*B*S iff (-1)^<S,P> = r with
     r = eps*lam/lam_A: one row <S,P> = [r = -1] per (generator,
@@ -200,8 +202,8 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = ExactScalar(cand.eps(cls))
-        for mono in sorted(g.terms):
-            lam, x, z = pauli.decode(g.terms[mono])
+        for mono in sorted(g):
+            lam, x, z = g[mono]
             lam_a = lam.conjugate() if cand.antilinear else lam
             if _term_sign(mono, cand) < 0:
                 lam_a = -lam_a
@@ -263,7 +265,7 @@ def _solve_strings(model: DiracModel, rows):
 
 
 def _solve_span(model: DiracModel, rows, span: list):
-    """Solutions tau = sum_s c_s span[s] for a span of string multiples,
+    """Solutions tau = sum_s c_s span[s] for a span of gamma monomials,
     and the first span member that is a solution string.
 
     tau solves the equation iff its component on every string outside
@@ -272,32 +274,32 @@ def _solve_span(model: DiracModel, rows, span: list):
     n = model.dim
     nq = pauli.qubits(n)
     by_string = {}
-    for s, m in enumerate(span):
-        c, x, z = pauli.decode(m)
+    for s, mon in enumerate(span):
+        c, x, z = mon.string
         by_string.setdefault(pauli.pack(x, z, nq), {})[s] = c
     rref = _Rref()
     first_string = None
     for string, row in by_string.items():
         if all(pauli.parity(string & mask) == rhs for mask, rhs in rows):
             if first_string is None:
-                first_string = span[min(row)]
+                first_string = span[min(row)].matrix
         else:
             rref.add_row(row)
     basis = []
     for v in nullspace_from_rref(rref, len(span)):
         m = ExactMatrix.zero(n)
-        for coef, mat in zip(v, span):
+        for coef, mon in zip(v, span):
             if coef:
-                m = m + mat.scale(coef)
+                m = m + mon.matrix.scale(coef)
         basis.append(m)
     return basis, first_string
 
 
-def clifford2_span(model: DiracModel) -> list[ExactMatrix]:
-    """Degree <= 2 gamma-monomial span (the restricted ansatz space)."""
+def clifford2_span(model: DiracModel) -> list[CliffordMonomial]:
+    """Degree <= 2 gamma monomials, spanning the restricted ansatz space."""
     if model.doubled:
         raise ValueError("the restricted ansatz is defined for single models")
-    return [m.matrix for m in monomial_basis(model.gamma, 2)]
+    return monomial_basis(model.gamma, 2)
 
 
 def _normalize(m: ExactMatrix) -> ExactMatrix:
@@ -388,15 +390,16 @@ def verify_tau(
 ) -> bool:
     """Re-check tau*T(G) - eps*G*tau == 0 by direct symbol algebra.
 
-    Independent of the nullspace solver: works on whole generator
+    Independent of the string solver: works on whole dense generator
     symbols, not on the assembled row system.
     """
     for cls, _, g in _generators(model):
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = ExactScalar(cand.eps(cls))
-        lhs = transform(g, cand).left_mul(tau)
-        rhs = g.right_mul(tau).scale(eps)
+        sym = symbol(model, g)
+        lhs = transform(sym, cand).left_mul(tau)
+        rhs = sym.right_mul(tau).scale(eps)
         if not (lhs - rhs).is_zero():
             return False
     return True

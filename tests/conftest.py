@@ -25,6 +25,31 @@ def proj_equal(a: ExactMatrix, b: ExactMatrix) -> bool:
     return a == b.scale(lam)
 
 
+def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Kronecker product, a-index major block layout."""
+    nb = b.dim
+    n = a.dim * nb
+    rows = [[ExactScalar(0)] * n for _ in range(n)]
+    for i, ra in enumerate(a.rows):
+        for j, aij in enumerate(ra):
+            for k, rb in enumerate(b.rows):
+                for l, bkl in enumerate(rb):
+                    rows[i * nb + k][j * nb + l] = aij * bkl
+    return ExactMatrix(rows)
+
+
+def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """[[a, 0], [0, b]]."""
+    zero = [ExactScalar(0)] * a.dim
+    return ExactMatrix([[*r, *zero] for r in a.rows] + [[*zero, *r] for r in b.rows])
+
+
+def block_antidiag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """[[0, a], [b, 0]]."""
+    zero = [ExactScalar(0)] * a.dim
+    return ExactMatrix([[*zero, *r] for r in a.rows] + [[*r, *zero] for r in b.rows])
+
+
 def mat(entries) -> ExactMatrix:
     return ExactMatrix(
         [

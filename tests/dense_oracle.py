@@ -4,12 +4,13 @@ It writes tau*T(G) - eps*G*tau = 0 as one rational row per matrix entry
 of every (generator, monomial) pair and eliminates the rows exactly, in
 the n^2 entries of tau (``_solve_full``) or in the coordinates of a
 matrix span (``_solve_span``).  It shares nothing with the Pauli-string
-engine in ``diracsym.symmetry`` except the generator symbols, ``transform``
-and the exact kernels, so the two check each other.
+engine in ``diracsym.symmetry`` except the closed-form generators (here
+encoded as dense symbols), ``transform`` and the exact kernels, so the
+two check each other.
 """
 
 from diracsym.exact import ExactMatrix, ExactScalar, ZERO, _Rref, nullspace_from_rref
-from diracsym.models import DiracModel
+from diracsym.models import DiracModel, symbol
 from diracsym.symmetry import (
     SymmetryCandidate,
     TauSolution,
@@ -47,6 +48,7 @@ def _constraint_pairs(model: DiracModel, cand: SymmetryCandidate, include_j: boo
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = cand.eps(cls)
+        g = symbol(model, g)
         tg = transform(g, cand)
         monos = sorted(set(g.terms) | set(tg.terms))
         for mono in monos:
@@ -137,8 +139,6 @@ def _solve_span(model, pairs, span):
     return basis
 
 
-
-
 def dense_solve_tau(model, cand, ansatz="full", include_j=True, variant=""):
     """``solve_tau`` on the dense rows: same output fields, same
     representative and square-phase rules."""
@@ -146,7 +146,8 @@ def dense_solve_tau(model, cand, ansatz="full", include_j=True, variant=""):
     if ansatz == "full":
         basis = _solve_full(model, pairs)
     else:
-        basis = _solve_span(model, pairs, clifford2_span(model))
+        span = [mon.matrix for mon in clifford2_span(model)]
+        basis = _solve_span(model, pairs, span)
     invertible = _invertible_element(basis)
     phase = None
     if len(basis) == 1 and invertible is not None:

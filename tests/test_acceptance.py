@@ -32,12 +32,11 @@ from diracsym import (
     verify_tau,
 )
 from diracsym.certificate import FLAGS, flags_for
-from diracsym.clifford import SIGMA1, SIGMA2, SIGMA3
-from diracsym.models import block_antidiag, block_diag
 from diracsym.spectra import _su2_pair, _casimir
 from diracsym.symmetry import C, PARITY, PTC, TP, TW
 
-from conftest import proj_equal
+from conftest import block_antidiag, block_diag, proj_equal
+from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
 BUILTIN_NAMES = ("P", "Tp", "Tw", "C")
 

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from diracsym import ExactMatrix, ExactScalar, model_for, verify_certificate
-from diracsym import cli, symmetry
+from diracsym import ExactMatrix, make_certificate, model_for, verify_certificate
+from diracsym import cli
 from diracsym.cli import main
 
 from conftest import proj_equal
@@ -125,6 +125,13 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         (["classify", "--dims", "x"], "expected an even integer dimension, got 'x'"),
         (["classify", "--dims", "2", "--jobs", "x"], "expected a positive integer, got 'x'"),
         (["gamma", "--dim", "x"], "expected an even integer dimension, got 'x'"),
+        (["classify", "--dims", "4,4"], "dimension 4 is given twice"),
+        (["classify", "--dims", "2", "--variants", "single,single"], "variant single is given twice"),
+        (["classify", "--dims", "2", "--variants", "bogus"], "unknown variant 'bogus'"),
+        (["solve-tau", "--dim", "2", "--symmetry", "Tw", "--mass", "1/0"],
+         "expected a rational number such as 3/7, got '1/0'"),
+        (["classify", "--dims", "2", "--mass", "x"], "expected a rational number such as 3/7, got 'x'"),
+        (["spectrum", "--dim", "2", "--p", "1,1/0"], "expected a rational number such as 3/7, got '1/0'"),
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -132,7 +139,6 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, argv
     monkeypatch.undo()
-    assert run(["classify", "--dims", "2", "--variants", "bogus"]) == 1
     assert run(["spectrum", "--dim", "4", "--mass", "1", "--p", "1,2"]) == 1
     assert run(["report", str(tmp_path / "missing.json")]) == 1
     not_an_object = tmp_path / "list.json"
@@ -141,7 +147,36 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert run(["report", str(not_an_object)]) == 1
     err = capsys.readouterr().err
     assert "top-level JSON is not an object" in err and "Traceback" not in err
-    assert run(["solve-tau", "--dim", "2", "--symmetry", "Tw", "--mass", "1/0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "results, missing",
+    [({"table": []}, "'mismatches'"), ({"mismatches": []}, "'table'"), ([], "TypeError")],
+)
+def test_report_rejects_malformed_classify_results(tmp_path, capsys, results, missing):
+    # hash-valid, so only the shape of the results is wrong
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(make_certificate("classify", {"dims": [2]}, results, set())))
+    assert run(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: unreadable certificate: malformed classify results" in err
+    assert missing in err and "Traceback" not in err
+
+
+def test_rational_options_keep_certificate_bytes(tmp_path):
+    # "6/14", "0.75" and "1/2,-3" parse to the rationals they always gave
+    for argv, want in (
+        (["solve-tau", "--dim", "2", "--symmetry", "C", "--mass", "6/14"], {"mass": ["3", "7"]}),
+        (
+            ["spectrum", "--dim", "2", "--mass", "0.75", "--p", "1/2,-3"],
+            {"mass": ["3", "4"], "p": ["1/2", "-3"]},
+        ),
+    ):
+        out = tmp_path / "c.json"
+        assert run([*argv, "--out", str(out)]) == 0
+        cert = load(out)
+        assert verify_certificate(cert)
+        assert {k: cert["input"][k] for k in want} == want
 
 
 def test_failed_internal_check_exits_2(monkeypatch, capsys):
@@ -151,22 +186,6 @@ def test_failed_internal_check_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "little_group_labels", failing)
     assert run(["labels", "--dim", "4"]) == 2
     assert "rep_dim" in capsys.readouterr().err
-
-
-def test_non_string_generator_coefficient_exits_2(monkeypatch, capsys):
-    # a coefficient the Pauli-string solver cannot decode is a failed
-    # internal check, never a verdict
-    real = symmetry.generator
-
-    def mixed(model, which, k=0, l=0):
-        g = real(model, which, k=k, l=l)
-        if which == "P0":
-            g = g + real(model, "Pk", k=1).scale(ExactScalar(2))
-        return g
-
-    monkeypatch.setattr(symmetry, "generator", mixed)
-    assert run(["solve-tau", "--dim", "2", "--symmetry", "C"]) == 2
-    assert "not a Pauli string" in capsys.readouterr().err
 
 
 def test_stdout_json_when_no_out(capsys):

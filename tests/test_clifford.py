@@ -4,17 +4,12 @@ import math
 
 import pytest
 
-from diracsym import ExactMatrix, base_system, extend, kron, monomial_basis, system_for
-from diracsym.clifford import (
-    I2,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    monomials_span_full_space,
-)
+from diracsym import ExactMatrix, base_system, extend, monomial_basis, pauli, system_for
+from diracsym.clifford import monomials_span_full_space
 from diracsym.exact import I_UNIT
 
-from conftest import mat
+from conftest import kron
+from gamma_reference import SIGMA1, SIGMA2, SIGMA3, kron_gammas
 
 
 def test_base_system_gammas():
@@ -30,6 +25,23 @@ def test_base_alphas_and_beta_are_paulis():
     model_alphas = [gs.gamma0 @ g for g in gs.gammas[1:]]
     assert model_alphas == [SIGMA1, SIGMA2]
     assert gs.beta == SIGMA3
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+def test_string_gammas_match_kron_recursion(d):
+    gs = system_for(d)
+    assert list(gs.gammas) == kron_gammas(d)
+    assert gs.gamma0 == gs.beta == gs.gammas[0]
+    assert gs.alphas() == [gs.gammas[0] @ g for g in gs.gammas[1:]]
+
+
+def test_monomials_carry_their_strings():
+    gs = system_for(4)
+    for mon in monomial_basis(gs, 5):
+        want = ExactMatrix.identity(4)
+        for idx in mon.index_subset:
+            want = want @ gs.gammas[idx]
+        assert mon.matrix == want == pauli.encode(*mon.string, 4)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracsym import ExactMatrix, ExactScalar, kron, nullspace, rank
+from diracsym import ExactMatrix, ExactScalar, nullspace, rank
 from diracsym.exact import I_UNIT, MINUS_ONE, ONE, ZERO, matmul
 
-from conftest import mat
+from conftest import kron, mat
 
 
 class TestExactScalar:

@@ -1,14 +1,15 @@
 """Operator symbols, canonical ordering, and the model generators."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from diracsym import ExactMatrix, ExactScalar, OperatorSymbol, doubled, generator, model_for
+from diracsym import ExactMatrix, ExactScalar, OperatorSymbol, doubled, model_for
+from diracsym import models
 from diracsym.exact import I_UNIT
 from diracsym.models import (
-    block_diag,
     dispersion_scalar,
     hamiltonian,
     p_monomial,
@@ -17,6 +18,15 @@ from diracsym.models import (
     unit_monomial,
     x_monomial,
 )
+from diracsym.symmetry import VARIANTS, model_for_variant
+
+from conftest import block_diag
+from gamma_reference import kron_gammas
+
+
+def generator(model, which, k=0, l=0):
+    """The closed-form generator as a dense operator symbol."""
+    return models.symbol(model, models.generator(model, which, k=k, l=l))
 
 
 def _sym(model, mono, mat=None):
@@ -97,13 +107,38 @@ class TestHamiltonianAndGenerators:
 
     def test_boost_matches_symmetrized_oracle(self):
         # J0k must equal t*p_k - (x_k H + H x_k)/2 after canonical ordering
-        m = model_for(4, mass=1)
-        h = hamiltonian(m)
-        for k in (1, 4):
-            xk = _sym(m, x_monomial(4, k))
-            tpk = _sym(m, t_monomial(4)) * _sym(m, p_monomial(4, k))
-            oracle = tpk - (xk * h + h * xk).scale(ExactScalar(Fraction(1, 2)))
-            assert (generator(m, "J0k", k=k) - oracle).is_zero()
+        half = ExactScalar(Fraction(1, 2))
+        for d, variant, mass in itertools.product(
+            (2, 4, 6, 8), VARIANTS, (Fraction(1), Fraction(3, 7))
+        ):
+            m = model_for_variant(d, variant, mass=mass)
+            h = hamiltonian(m)
+            for k in range(1, d + 1):
+                xk = _sym(m, x_monomial(d, k))
+                tpk = _sym(m, t_monomial(d)) * _sym(m, p_monomial(d, k))
+                oracle = tpk - (xk * h + h * xk).scale(half)
+                assert (generator(m, "J0k", k=k) - oracle).is_zero(), (d, variant, mass, k)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_generators_match_kron_gammas(self, d, variant):
+        # H and the spin terms (i/2) alpha_l alpha_k from the dense recursion
+        m = model_for_variant(d, variant, mass=Fraction(3, 7))
+        g = kron_gammas(d)
+        alphas, beta = [g[0] @ gk for gk in g[1:]], g[0]
+        if m.doubled:
+            alphas = [block_diag(a, a) for a in alphas]
+            beta = block_diag(beta, -beta)
+        want = OperatorSymbol(d, m.dim)
+        for k, a in enumerate(alphas, start=1):
+            want._add_term(p_monomial(d, k), a)
+        want._add_term(unit_monomial(d), beta.scale(ExactScalar(m.branch * m.mass)))
+        assert generator(m, "P0") == want
+        half_i = ExactScalar(0, Fraction(1, 2))
+        for k in range(1, d + 1):
+            for l in range(k + 1, d + 1):
+                spin = (alphas[l - 1] @ alphas[k - 1]).scale(half_i)
+                assert generator(m, "Jkl", k=k, l=l).coeff(unit_monomial(d)) == spin
 
     def test_generator_symbols_are_affine_in_each_variable(self):
         m = model_for(4)
@@ -199,6 +234,6 @@ def test_negative_mass_rejected():
 def test_bad_generator_index_rejected():
     m = model_for(2)
     with pytest.raises(ValueError):
-        generator(m, "Pk", k=3)
+        models.generator(m, "Pk", k=3)
     with pytest.raises(ValueError):
-        generator(m, "Jkl", k=2, l=2)
+        models.generator(m, "Jkl", k=2, l=2)

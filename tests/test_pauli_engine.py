@@ -77,7 +77,9 @@ def test_ratio_off_the_unit_signs_empties_the_cell(monkeypatch):
 
     def tilted(model, which, k=0, l=0):
         g = real(model, which, k=k, l=l)
-        return g.scale(ExactScalar(1, 1)) if which == "Pk" else g
+        if which == "Pk":
+            g = {mono: (c * ExactScalar(1, 1), x, z) for mono, (c, x, z) in g.items()}
+        return g
 
     monkeypatch.setattr(symmetry, "generator", tilted)
     model = model_for(4)
@@ -93,47 +95,27 @@ _nonzero = st.tuples(_rationals, _rationals).filter(any).map(lambda p: ExactScal
 
 
 @st.composite
-def _strings(draw, min_q=0):
-    q = draw(st.integers(min_q, 3))
+def _string_pairs(draw):
+    q = draw(st.integers(0, 3))
     n = 1 << q
-    return draw(_nonzero), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), n
+    masks = st.integers(0, n - 1)
+    a = (draw(_nonzero), draw(masks), draw(masks))
+    b = (draw(_nonzero), draw(masks), draw(masks))
+    return a, b, n
 
 
 @settings(max_examples=200, deadline=None)
-@given(_strings())
-def test_decode_inverts_encode(s):
-    c, x, z, n = s
-    m = pauli.encode(c, x, z, n)
-    assert pauli.decode(m) == (c, x, z)
+@given(_string_pairs())
+def test_string_product_matches_dense_matmul(s):
+    a, b, n = s
+    assert pauli.encode(*pauli.mul(a, b), n) == pauli.encode(*a, n) @ pauli.encode(*b, n)
     # the encoding is the product of one-qubit factors X^x Z^z
-    for r, row in enumerate(m.rows):
+    c, x, z = a
+    for r, row in enumerate(pauli.encode(c, x, z, n).rows):
         col = r ^ x
         sign = (-1) ** bin(col & z).count("1")
         assert [j for j, v in enumerate(row) if v] == [col]
         assert row[col] == c * ExactScalar(sign)
-
-
-# From four basis states on, two strings differ in at least two entries,
-# so every single changed entry leaves the set of strings.
-@settings(max_examples=200, deadline=None)
-@given(_strings(min_q=2), st.data())
-def test_any_single_perturbed_entry_raises(s, data):
-    c, x, z, n = s
-    m = pauli.encode(c, x, z, n)
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1))
-    delta = data.draw(_nonzero)
-    rows = [list(r) for r in m.rows]
-    rows[i][j] = rows[i][j] + delta
-    with pytest.raises(ArithmeticError):
-        pauli.decode(ExactMatrix(rows))
-
-
-def test_decode_rejects_other_dimensions_and_zero():
-    with pytest.raises(ArithmeticError):
-        pauli.decode(ExactMatrix.identity(3))
-    with pytest.raises(ArithmeticError):
-        pauli.decode(ExactMatrix.zero(4))
 
 
 def test_solve_affine_lists_every_solution():

@@ -5,9 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracsym import ExactMatrix, ExactScalar, kron, model_for, system_for
+from diracsym import ExactMatrix, ExactScalar, model_for, system_for
 from diracsym.exact import ONE, ZERO
 from diracsym.spectra import dispersion_check
+
+from conftest import kron
 
 fractions = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12

@@ -19,9 +19,7 @@ from diracsym import (
     verify_tau,
 )
 from diracsym import symmetry
-from diracsym.clifford import SIGMA1, SIGMA2, SIGMA3
 from diracsym.exact import _Rref, nullspace_from_rref
-from diracsym.models import block_antidiag, block_diag
 from diracsym.symmetry import (
     C,
     PARITY,
@@ -36,15 +34,16 @@ from diracsym.symmetry import (
     clifford2_span,
 )
 
-from conftest import proj_equal
+from conftest import block_antidiag, block_diag, proj_equal
 from dense_oracle import _constraint_pairs
+from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
 
 def _dense_span_basis(model, cand):
     """Reference for the clifford2 ansatz: one row per matrix entry of
     span[s]*A - eps*B*span[s], built by dense products."""
     pairs, _ = _constraint_pairs(model, cand, include_j=True)
-    span = clifford2_span(model)
+    span = [mon.matrix for mon in clifford2_span(model)]
     n = model.dim
     rref = _Rref()
     for _, a, b, eps in pairs:
