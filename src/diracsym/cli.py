@@ -91,12 +91,15 @@ def _variants(value: str) -> list[str]:
 
 
 def _rational(value: str) -> Fraction:
+    # exponent notation is refused: Fraction expands it with no bound
     try:
-        return Fraction(value)
+        if "e" not in value.lower():
+            return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expected a rational number such as 3/7, got {value!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a rational number such as 3/7, got {value!r}"
+    )
 
 
 def _momentum(value: str) -> list[Fraction]:
@@ -105,9 +108,10 @@ def _momentum(value: str) -> list[Fraction]:
 
 def _expectation(value: str) -> tuple[str, bool]:
     name, _, verdict = value.partition(":")
-    if name not in CANDIDATES or verdict not in ("yes", "no"):
+    if name not in CLASSIFY_ORDER or verdict not in ("yes", "no"):
         raise argparse.ArgumentTypeError(
-            f"bad expectation {value!r}, want NAME:yes|no"
+            f"bad expectation {value!r}, want NAME:yes|no with NAME one of "
+            + ", ".join(CLASSIFY_ORDER)
         )
     return name, verdict == "yes"
 
@@ -115,8 +119,11 @@ def _expectation(value: str) -> tuple[str, bool]:
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     if args.json or not args.out:
         sys.stdout.write(text)
 
@@ -162,8 +169,8 @@ def _cmd_classify(args) -> int:
     mismatches = []
     for rec in records:
         for name, want in expected.items():
-            sol = rec.entries.get(name)
-            if sol is not None and sol.exists != want:
+            sol = rec.entries[name]
+            if sol.exists != want:
                 mismatches.append(
                     {
                         "d": rec.d,

@@ -17,12 +17,13 @@ diagonal in strings: a string tau either solves all of it or none of it,
 and the strings that solve it are the solutions of an affine system over
 GF(2) (``pauli``).  Dense matrices are built only for the solution
 strings, in the basis an exact nullspace computation on the entries of
-tau would give.
+tau would give.  Every string is unitary, so a candidate is a symmetry
+exactly when a solution string exists, and the first one is the
+reported invertible representative: no search over the span is needed.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,7 +32,6 @@ from .clifford import CliffordMonomial, monomial_basis
 from .exact import (
     ExactMatrix,
     ExactScalar,
-    MINUS_ONE,
     ONE,
     ZERO,
     _Rref,
@@ -167,7 +167,11 @@ class TauSolution:
 
     @property
     def exists(self) -> bool:
-        """Invertibility is required: a singular tau is no symmetry."""
+        """Invertibility is required: a singular tau is no symmetry.
+
+        The solution space is spanned by solution strings, each unitary,
+        so it holds an invertible tau iff it holds a string.
+        """
         return self.invertible_representative is not None
 
 
@@ -190,10 +194,11 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
 
     Every generator coefficient is a string B = lam*P, and its image
     in T(G) is A = lam_A*P with lam_A from the same sign and conjugation
-    rule as ``transform``.  Then S*A = eps*B*S iff (-1)^<S,P> = r with
-    r = eps*lam/lam_A: one row <S,P> = [r = -1] per (generator,
-    monomial), or the contradiction 0 = 1 when r is not +-1.  Returns
-    (rows as (mask, rhs) pairs, orbital inconsistencies).
+    rule as ``transform``.  Then S*A = eps*B*S iff
+    (-1)^<S,P>*lam_A = eps*lam: one row per (generator, monomial),
+    <S,P> = 0 when eps*lam = lam_A, <S,P> = 1 when eps*lam = -lam_A,
+    and the contradiction 0 = 1 otherwise.  Returns (rows as (mask, rhs)
+    pairs, orbital inconsistencies).
     """
     nq = pauli.qubits(model.dim)
     rows = []
@@ -207,17 +212,17 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
             lam_a = lam.conjugate() if cand.antilinear else lam
             if _term_sign(mono, cand) < 0:
                 lam_a = -lam_a
+            lam_b = eps * lam
             if not (x or z):
-                resid = lam_a - eps * lam
+                resid = lam_a - lam_b
                 if resid:
                     inconsistencies.append(
                         {"generator": label, "monomial": mono, "scale": resid}
                     )
-            r = eps * lam / lam_a
             mask = pauli.symplectic_mask(x, z, nq)
-            if r == ONE:
+            if lam_b == lam_a:
                 rows.append((mask, 0))
-            elif r == MINUS_ONE:
+            elif lam_b == -lam_a:
                 rows.append((mask, 1))
             else:
                 rows.append((0, 1))
@@ -256,7 +261,8 @@ def _last_pivot_basis(mats: list) -> list:
 
 
 def _solve_strings(model: DiracModel, rows):
-    """Basis of the full solution space, and its first solution string."""
+    """Basis of the full solution space, and its lowest solution string
+    (``solve_affine`` lists them in increasing order)."""
     n = model.dim
     nq = pauli.qubits(n)
     strings = pauli.solve_affine(rows, 2 * nq)
@@ -311,37 +317,6 @@ def _normalize(m: ExactMatrix) -> ExactMatrix:
     return m
 
 
-_COMBO_WEIGHTS = (0, 1, -1, 2, -2)
-
-
-def _invertible_element(basis: list, first_string: ExactMatrix | None = None):
-    """Deterministic scan for an invertible member of the solution space.
-
-    Up to four basis elements, small integer combinations are tried in a
-    fixed order.  Every solution string is unitary, so past that
-    ``first_string``, a solution string of the space (None when it holds
-    none), is the answer.
-    """
-    for b in basis:
-        if b.is_invertible():
-            return _normalize(b)
-    k = len(basis)
-    if k <= 1:
-        return None
-    if k > 4:
-        return None if first_string is None else _normalize(first_string)
-    for weights in itertools.product(_COMBO_WEIGHTS, repeat=k):
-        if all(w == 0 for w in weights):
-            continue
-        m = ExactMatrix.zero(basis[0].dim)
-        for w, b in zip(weights, basis):
-            if w:
-                m = m + b.scale(ExactScalar(w))
-        if m.is_invertible():
-            return _normalize(m)
-    return None
-
-
 def solve_tau(
     model: DiracModel,
     cand: SymmetryCandidate,
@@ -349,7 +324,11 @@ def solve_tau(
     include_j: bool = True,
     variant: str = "",
 ) -> TauSolution:
-    """Solve the intertwiner equation of one candidate exactly."""
+    """Solve the intertwiner equation of one candidate exactly.
+
+    The invertible representative is the first solution string, scaled
+    so its first nonzero entry is 1; None when there is none.
+    """
     if ansatz == "full":
         span = None
     elif ansatz == "clifford2":
@@ -362,11 +341,10 @@ def solve_tau(
     else:
         basis, first_string = _solve_span(model, rows, span)
     representative = _normalize(basis[0]) if basis else None
-    invertible = _invertible_element(basis, first_string)
+    invertible = None if first_string is None else _normalize(first_string)
     phase = None
     if len(basis) == 1 and invertible is not None:
-        rep = invertible
-        sq = rep @ (rep.conj() if cand.antilinear else rep)
+        sq = invertible @ (invertible.conj() if cand.antilinear else invertible)
         phase = sq.scalar_multiple_of_identity()
     return TauSolution(
         candidate=cand,

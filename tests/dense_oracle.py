@@ -6,8 +6,12 @@ the n^2 entries of tau (``_solve_full``) or in the coordinates of a
 matrix span (``_solve_span``).  It shares nothing with the Pauli-string
 engine in ``diracsym.symmetry`` except the closed-form generators (here
 encoded as dense symbols), ``transform`` and the exact kernels, so the
-two check each other.
+two check each other.  The oracle has no strings, so it finds its
+invertible representative by a determinant scan (``invertible_element``)
+where the engine takes its first solution string.
 """
+
+import itertools
 
 from diracsym.exact import ExactMatrix, ExactScalar, ZERO, _Rref, nullspace_from_rref
 from diracsym.models import DiracModel, symbol
@@ -15,7 +19,6 @@ from diracsym.symmetry import (
     SymmetryCandidate,
     TauSolution,
     _generators,
-    _invertible_element,
     _normalize,
     clifford2_span,
     transform,
@@ -139,16 +142,47 @@ def _solve_span(model, pairs, span):
     return basis
 
 
+_COMBO_WEIGHTS = (0, 1, -1, 2, -2)
+
+
+def invertible_element(basis: list):
+    """Deterministic scan for an invertible member of the solution space.
+
+    Up to four basis elements, small integer combinations are tried in a
+    fixed order.  Past that the scan does not decide; no cell of the
+    oracle's tests has more than four basis elements.
+    """
+    for b in basis:
+        if b.is_invertible():
+            return _normalize(b)
+    k = len(basis)
+    if k <= 1:
+        return None
+    if k > 4:
+        raise ValueError(f"the scan decides at most four basis elements, got {k}")
+    for weights in itertools.product(_COMBO_WEIGHTS, repeat=k):
+        if all(w == 0 for w in weights):
+            continue
+        m = ExactMatrix.zero(basis[0].dim)
+        for w, b in zip(weights, basis):
+            if w:
+                m = m + b.scale(ExactScalar(w))
+        if m.is_invertible():
+            return _normalize(m)
+    return None
+
+
 def dense_solve_tau(model, cand, ansatz="full", include_j=True, variant=""):
-    """``solve_tau`` on the dense rows: same output fields, same
-    representative and square-phase rules."""
+    """``solve_tau`` on the dense rows: same output fields and the same
+    representative and square-phase rules, with the invertible
+    representative from ``invertible_element``."""
     pairs, inconsistencies = _constraint_pairs(model, cand, include_j)
     if ansatz == "full":
         basis = _solve_full(model, pairs)
     else:
         span = [mon.matrix for mon in clifford2_span(model)]
         basis = _solve_span(model, pairs, span)
-    invertible = _invertible_element(basis)
+    invertible = invertible_element(basis)
     phase = None
     if len(basis) == 1 and invertible is not None:
         sq = invertible @ (invertible.conj() if cand.antilinear else invertible)

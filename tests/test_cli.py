@@ -132,6 +132,11 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
          "expected a rational number such as 3/7, got '1/0'"),
         (["classify", "--dims", "2", "--mass", "x"], "expected a rational number such as 3/7, got 'x'"),
         (["spectrum", "--dim", "2", "--p", "1,1/0"], "expected a rational number such as 3/7, got '1/0'"),
+        (["solve-tau", "--dim", "2", "--symmetry", "Tw", "--mass", "1e100000"],
+         "expected a rational number such as 3/7, got '1e100000'"),
+        (["spectrum", "--dim", "2", "--p", "1E3,0"], "expected a rational number such as 3/7, got '1E3'"),
+        (["classify", "--dims", "4", "--expect", "Tp-literal:yes"],
+         "with NAME one of P, Tp, Tw, C, TpC, TwC, PTC"),
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -140,6 +145,11 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         assert message in err and "Traceback" not in err, argv
     monkeypatch.undo()
     assert run(["spectrum", "--dim", "4", "--mass", "1", "--p", "1,2"]) == 1
+    unwritable = tmp_path / "missing" / "x.json"
+    capsys.readouterr()
+    assert run(["gamma", "--dim", "2", "--out", str(unwritable)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {unwritable}: " in err and "Traceback" not in err
     assert run(["report", str(tmp_path / "missing.json")]) == 1
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[]")

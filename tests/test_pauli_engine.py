@@ -16,7 +16,6 @@ from diracsym.symmetry import (
     CANDIDATES,
     PARITY,
     VARIANTS,
-    _invertible_element,
     model_for_variant,
 )
 
@@ -27,7 +26,9 @@ EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expec
 
 def _cert_bytes(sol):
     """basis, both representatives, square_phase, orbital_inconsistencies
-    and the verdict, as certificate JSON."""
+    and the verdict, as certificate JSON.  The engine's invertible
+    representative is its first solution string and the oracle's comes
+    from a determinant scan, so equal bytes check one rule by the other."""
     return json.dumps(tau_solution_json(sol), sort_keys=True)
 
 
@@ -123,19 +124,6 @@ def test_solve_affine_lists_every_solution():
     assert pauli.solve_affine([(0b011, 1), (0b010, 0)], 3) == [0b001, 0b101]
     assert pauli.solve_affine([(0b011, 1), (0b011, 0)], 3) == []
     assert pauli.solve_affine([], 2) == [0, 1, 2, 3]
-
-
-def test_more_than_four_basis_elements_take_the_first_string():
-    n = 4
-    units = []
-    for k in range(5):
-        rows = [[ExactScalar(0)] * n for _ in range(n)]
-        rows[k % n][k % n] = ExactScalar(1)
-        units.append(ExactMatrix(rows))
-    string = pauli.encode(ExactScalar(0, 3), 1, 2, n)
-    got = _invertible_element(units, string)
-    assert got == string.scale(ExactScalar(1) / ExactScalar(0, 3))
-    assert _invertible_element(units, None) is None
 
 
 def test_solve_tau_reaches_the_first_string_branch(monkeypatch):

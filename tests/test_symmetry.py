@@ -29,13 +29,13 @@ from diracsym.symmetry import (
     TPC,
     TW,
     TWC,
-    _invertible_element,
+    VARIANTS,
     _normalize,
     clifford2_span,
 )
 
 from conftest import block_antidiag, block_diag, proj_equal
-from dense_oracle import _constraint_pairs
+from dense_oracle import _constraint_pairs, invertible_element
 from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
 
@@ -219,6 +219,30 @@ class TestSolverSoundness:
         # tau * conj(tau) proportional to the identity with unit modulus
         assert sol.square_phase.abs2() == Fraction(1)
 
+    def test_every_invertible_representative_is_unitary(self):
+        # the representative is a solution string scaled to a unit first
+        # entry, so it is unitary, and on a line its square is +-1
+        sols = [
+            solve_tau(model_for_variant(d, v), CANDIDATES[name], variant=v)
+            for d in (2, 4, 6, 8)
+            for v in VARIANTS
+            for name in CLASSIFY_ORDER
+        ]
+        sols += [
+            solve_tau(model_for_variant(d, v), CANDIDATES[name], "clifford2", variant=v)
+            for d in (2, 4, 6)
+            for v in ("single", "single-", "massless")
+            for name in CLASSIFY_ORDER
+        ]
+        reported = [sol for sol in sols if sol.exists]
+        assert len(reported) > len(sols) // 3
+        for sol in reported:
+            rep = sol.invertible_representative
+            key = (sol.d, sol.variant, sol.candidate.name, sol.ansatz)
+            assert rep @ rep.dagger() == ExactMatrix.identity(rep.dim), key
+            if sol.dim == 1:
+                assert sol.square_phase in (ExactScalar(1), ExactScalar(-1)), key
+
     def test_random_perturbed_matrix_fails_verification(self):
         model = model_for(4, mass=1)
         sol = solve_tau(model, TW)
@@ -270,7 +294,7 @@ class TestAnsatzModes:
             sol = solve_tau(model, cand, ansatz="clifford2")
             basis = _dense_span_basis(model, cand)
             assert _dumps(sol.basis) == _dumps(basis), name
-            reps = [_normalize(basis[0]) if basis else None, _invertible_element(basis)]
+            reps = [_normalize(basis[0]) if basis else None, invertible_element(basis)]
             assert _dumps([sol.representative, sol.invertible_representative]) == (
                 _dumps(reps)
             ), name
