@@ -29,9 +29,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
-# Largest accepted dimension.  The solver works on Pauli strings and builds
-# no dense constraint system, but certificates, gamma systems, spectra and
-# solution bases are dense 2^(d/2)-square exact matrices: 4096 entries at
+# Largest accepted dimension.  The solver and the dispersion check work on
+# Pauli strings, but gamma systems, solution bases and the certificates
+# that hold them are dense 2^(d/2)-square exact matrices: 4096 entries at
 # d=12, about 10^6 at d=20.
 MAX_DIM = 12
 
@@ -116,6 +116,18 @@ def _expectation(value: str) -> tuple[str, bool]:
     return name, verdict == "yes"
 
 
+class _Claims(argparse.Action):
+    """Collects --expect claims into {NAME: verdict}; a NAME claimed twice
+    is a usage error, even when both claims agree."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        claims = getattr(namespace, self.dest) or {}
+        name, want = value
+        if name in claims:
+            raise argparse.ArgumentError(self, f"claim for {name} is given twice")
+        setattr(namespace, self.dest, {**claims, name: want})
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -165,7 +177,7 @@ def _cmd_classify(args) -> int:
     dims, variants = args.dims, args.variants
     records = classify(dims, variants=tuple(variants), mass=args.mass, jobs=args.jobs)
     results = [cert.classification_json(r) for r in records]
-    expected = dict(args.expect or [])
+    expected = args.expect or {}
     mismatches = []
     for rec in records:
         for name, want in expected.items():
@@ -332,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=_rational, default="1")
     p.add_argument(
         "--expect",
-        action="append",
+        action=_Claims,
         type=_expectation,
         metavar="NAME:yes|no",
-        help="claimed verdict; contradictions exit with status 2",
+        help="claimed verdict, once per NAME; contradictions exit with status 2",
     )
     p.add_argument(
         "--jobs",

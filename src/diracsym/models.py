@@ -24,7 +24,6 @@ from .exact import (
     ExactScalar,
     MINUS_ONE,
     ONE,
-    ZERO,
     matmul,
 )
 
@@ -223,27 +222,24 @@ class DiracModel:
     def beta(self) -> ExactMatrix:
         return pauli.encode(*self.beta_string, self.dim)
 
-    def hamiltonian_matrix(self, p) -> ExactMatrix:
-        """H(p) for a rational momentum vector p of length d.
-
-        One entry per row of each of the d+1 strings.
-        """
+    def hamiltonian_strings(self, p) -> list:
+        """The terms (c, x, z) of H(p) for a rational momentum vector p of
+        length d: p_k times alpha_k and branch*mass times beta, the zero
+        coefficients dropped."""
         if len(p) != self.d:
             raise ValueError(f"momentum must have {self.d} components")
-        n = self.dim
-        rows = [[ZERO] * n for _ in range(n)]
         coeffs = [*p, self.branch * self.mass]
         strings = [*self.gamma.alpha_strings(), self.beta_string]
+        terms = []
         for coef, (c, x, z) in zip(coeffs, strings):
             c = c * ExactScalar(Fraction(coef))
-            if not c:
-                continue
-            neg = -c
-            for r, row in enumerate(rows):
-                j = r ^ x
-                v = neg if pauli.parity(j & z) else c
-                row[j] = v if row[j] is ZERO else row[j] + v
-        return ExactMatrix._make(rows)
+            if c:
+                terms.append((c, x, z))
+        return terms
+
+    def hamiltonian_matrix(self, p) -> ExactMatrix:
+        """H(p) as a dense matrix, the encoding of ``hamiltonian_strings``."""
+        return pauli.encode_sum(self.hamiltonian_strings(p), self.dim)
 
 
 def model_for(

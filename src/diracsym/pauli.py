@@ -56,15 +56,35 @@ def mul(a: tuple, b: tuple) -> tuple:
 
 def encode(c: ExactScalar, x: int, z: int, n: int) -> ExactMatrix:
     """The dense n x n matrix of c * X^x Z^z."""
+    return encode_sum([(c, x, z)], n)
+
+
+def encode_sum(terms, n: int) -> ExactMatrix:
+    """The dense n x n matrix of a sum of strings (c, x, z): one entry per
+    row of each string."""
     qubits(n)
-    neg = -c
-    rows = []
-    for r in range(n):
-        row = [ZERO] * n
-        col = r ^ x
-        row[col] = neg if parity(col & z) else c
-        rows.append(row)
+    rows = [[ZERO] * n for _ in range(n)]
+    for c, x, z in terms:
+        neg = -c
+        for r, row in enumerate(rows):
+            col = r ^ x
+            v = neg if parity(col & z) else c
+            row[col] = v if row[col] is ZERO else row[col] + v
     return ExactMatrix._make(rows)
+
+
+def mul_sums(a, b) -> dict:
+    """The product of two sums of strings, (sum a)(sum b), as {(x, z): c}
+    with the exact zeros dropped.  Distinct strings are linearly
+    independent, so two products are equal matrices exactly when their
+    dicts are equal."""
+    out = {}
+    for s in a:
+        for t in b:
+            c, x, z = mul(s, t)
+            key = x, z
+            out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
 
 
 def solve_affine(rows, nbits: int) -> list[int]:

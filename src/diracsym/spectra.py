@@ -2,7 +2,11 @@
 
 Everything about eigenvalues is phrased through exact identities on H^2
 and traces, so irrational square roots never appear in exact mode.
-Floating point is quarantined to the density-matrix evolution.
+The dispersion certificate is decided on the Pauli strings of H(p)
+(``pauli``) and builds no dense matrix; the d=4 little-group labels build
+their Casimirs as string sums and then take dense exact nullspaces, and
+the d=4 fiber check squares a dense H.  Floating point is quarantined to
+the density-matrix evolution.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactMatrix, ExactScalar, nullspace
+from . import pauli
+from .exact import ZERO, ExactMatrix, ExactScalar, nullspace
 from .models import DiracModel, model_for
 
 HERMITICITY_TOL = 1e-12
@@ -23,15 +28,19 @@ def dispersion_check(model: DiracModel, p) -> dict:
     """Certify H(p)^2 == (sum p_k^2 + mass^2) * I without leaving rationals.
 
     Together with trace H(p) == 0 this pins the eigenvalues to
-    +-sqrt(omega2) with equal multiplicities.
+    +-sqrt(omega2) with equal multiplicities.  Both identities are decided
+    on the d+1 Pauli strings of H(p): H(p)^2 is O(d^2) string products,
+    and it equals omega2 * I exactly when only the identity string is
+    left, with coefficient omega2, because distinct strings are linearly
+    independent.  A string other than the identity has trace 0, so the
+    trace vanishes exactly when the identity string's coefficient does.
     """
     p = [Fraction(x) for x in p]
-    h = model.hamiltonian_matrix(p)
+    terms = model.hamiltonian_strings(p)
     omega2 = sum((x * x for x in p), Fraction(0)) + model.mass * model.mass
-    hsq = h @ h
-    want = ExactMatrix.identity(model.dim).scale(ExactScalar(omega2))
-    square_ok = hsq == want
-    trace_zero = h.trace().is_zero()
+    want = {(0, 0): ExactScalar(omega2)} if omega2 else {}
+    square_ok = pauli.mul_sums(terms, terms) == want
+    trace_zero = not sum((c for c, x, z in terms if not x and not z), ZERO)
     return {
         "d": model.d,
         "mass": model.mass,
@@ -56,44 +65,34 @@ class RepLabel:
         return int((2 * self.j1 + 1) * (2 * self.j2 + 1))
 
 
-def _spin_matrices(model: DiracModel):
-    """S_kl = (i/2) alpha_l alpha_k for 1 <= k < l <= d."""
-    half_i = ExactScalar(0, Fraction(1, 2))
-    al = model.alphas
-    s = {}
-    for k in range(1, model.d + 1):
-        for l in range(1, model.d + 1):
-            if k == l:
-                continue
-            s[(k, l)] = (al[l - 1] @ al[k - 1]).scale(half_i)
-    return s
-
-
-def _su2_pair(model: DiracModel):
-    """The two commuting angular-momentum triples on a d=4 model.
+def _casimirs(model: DiracModel) -> tuple[ExactMatrix, ExactMatrix]:
+    """The Casimirs A^2 = sum_i A_i^2 and B^2 = sum_i B_i^2 of the two
+    commuting angular-momentum triples on a d=4 model, each built from
+    string products and encoded once.
 
     A_i = (rot_i - S_i4) / 2 and B_i = (rot_i + S_i4) / 2 where rot_i is
-    the spatial-rotation generator S_jk with (i, j, k) cyclic.  The sign
-    split is the orientation convention that puts (1/2, 0) on the
-    positive-energy subspace of the branch=+1 model.
+    the spatial-rotation generator S_jk with (i, j, k) cyclic and
+    S_kl = (i/2) alpha_l alpha_k.  The sign split is the orientation
+    convention that puts (1/2, 0) on the positive-energy subspace of the
+    branch=+1 model.
     """
-    s = _spin_matrices(model)
-    half = ExactScalar(Fraction(1, 2))
-    a_ops, b_ops = [], []
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        rot = s[(j, k)]
-        boost4 = s[(i, 4)]
-        a_ops.append((rot - boost4).scale(half))
-        b_ops.append((rot + boost4).scale(half))
-    return a_ops, b_ops
+    al = model.gamma.alpha_strings()
 
+    def spin(k, l, sign=1):
+        # sign * S_kl as one string
+        half_i = ExactScalar(0, Fraction(sign, 2))
+        return pauli.mul((half_i, 0, 0), pauli.mul(al[l - 1], al[k - 1]))
 
-def _casimir(ops) -> ExactMatrix:
-    n = ops[0].dim
-    tot = ExactMatrix.zero(n)
-    for o in ops:
-        tot = tot + o @ o
-    return tot
+    quarter = ExactScalar(Fraction(1, 4))
+    casimirs = []
+    for sign in (-1, 1):
+        terms = []
+        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            twice = [spin(j, k), spin(i, 4, sign)]  # 2*A_i, then 2*B_i
+            square = pauli.mul_sums(twice, twice)
+            terms += [(c * quarter, x, z) for (x, z), c in square.items()]
+        casimirs.append(pauli.encode_sum(terms, model.dim))
+    return casimirs[0], casimirs[1]
 
 
 _J_CANDIDATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
@@ -128,17 +127,16 @@ def little_group_labels(model: DiracModel) -> list[RepLabel]:
         raise ValueError("little-group labels are computed for d == 4")
     if model.mass == 0:
         raise ValueError("massless little group is out of scope")
-    a_ops, b_ops = _su2_pair(model)
-    a2, b2 = _casimir(a_ops), _casimir(b_ops)
+    a2, b2 = _casimirs(model)
     n = model.dim
-    ident = ExactMatrix.identity(n)
-    # H(0)/mass squares to I, so (I + s*H0/mass)/2 projects on energy sign s
-    h0 = model.hamiltonian_matrix([0] * model.d)
-    h0_unit = h0.scale(ExactScalar(Fraction(1, model.mass)))
+    # H(0)/mass = branch*beta squares to I, so the kernel of
+    # branch*beta - s*I is the eigenspace of energy sign s
+    c, x, z = model.beta_string
+    branch_beta = (c * ExactScalar(model.branch), x, z)
     a_shifted, b_shifted = _shifted_rows(a2), _shifted_rows(b2)
     labels = []
     for sign in (1, -1):
-        proj_rows = (h0_unit - ident.scale(ExactScalar(sign))).rows
+        proj_rows = pauli.encode_sum([branch_beta, (ExactScalar(-sign), 0, 0)], n).rows
         # a joint eigenspace lies inside both one-Casimir eigenspaces, so
         # only the j1 and j2 whose own eigenspace is nonzero are paired
         live_a = _live_candidates(proj_rows, a_shifted, n)

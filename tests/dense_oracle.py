@@ -1,4 +1,5 @@
-"""The dense exact intertwiner solver, kept as a test-only oracle.
+"""The dense exact intertwiner solver and dispersion check, kept as
+test-only oracles.
 
 It writes tau*T(G) - eps*G*tau = 0 as one rational row per matrix entry
 of every (generator, monomial) pair and eliminates the rows exactly, in
@@ -9,9 +10,15 @@ encoded as dense symbols), ``transform`` and the exact kernels, so the
 two check each other.  The oracle has no strings, so it finds its
 invertible representative by a determinant scan (``invertible_element``)
 where the engine takes its first solution string.
+
+``dense_dispersion_check`` is the dense form of
+``diracsym.spectra.dispersion_check``: it builds H(p) from the dense
+gammas by matrix products and compares H(p) @ H(p) with omega2 * I
+entry by entry, where the engine multiplies Pauli strings.
 """
 
 import itertools
+from fractions import Fraction
 
 from diracsym.exact import ExactMatrix, ExactScalar, ZERO, _Rref, nullspace_from_rref
 from diracsym.models import DiracModel, symbol
@@ -199,3 +206,43 @@ def dense_solve_tau(model, cand, ansatz="full", include_j=True, variant=""):
         orbital_inconsistencies=inconsistencies,
         ansatz=ansatz,
     )
+
+
+def dense_hamiltonian(model: DiracModel, p) -> ExactMatrix:
+    """sum_k p_k alpha_k + branch*mass*beta with alpha_k = gamma_0 @ gamma_k
+    from the dense gammas; a doubled model is diag(H_+(p), H_-(p))."""
+    g = model.gamma.gammas
+
+    def branch_h(branch):
+        h = g[0].scale(ExactScalar(branch * model.mass))
+        for pk, gk in zip(p, g[1:]):
+            h = h + (g[0] @ gk).scale(ExactScalar(Fraction(pk)))
+        return h
+
+    if not model.doubled:
+        return branch_h(model.branch)
+    zero = [ZERO] * model.gamma.rep_dim
+    plus, minus = branch_h(1), branch_h(-1)
+    return ExactMatrix(
+        [[*r, *zero] for r in plus.rows] + [[*zero, *r] for r in minus.rows]
+    )
+
+
+def dense_dispersion_check(model: DiracModel, p) -> dict:
+    p = [Fraction(x) for x in p]
+    if len(p) != model.d:
+        raise ValueError(f"momentum must have {model.d} components")
+    h = dense_hamiltonian(model, p)
+    omega2 = sum((x * x for x in p), Fraction(0)) + model.mass * model.mass
+    want = ExactMatrix.identity(model.dim).scale(ExactScalar(omega2))
+    square_ok = h @ h == want
+    trace_zero = h.trace().is_zero()
+    return {
+        "d": model.d,
+        "mass": model.mass,
+        "p": p,
+        "omega2": omega2,
+        "square_is_scalar": square_ok,
+        "trace_zero": trace_zero,
+        "ok": square_ok and trace_zero,
+    }

@@ -32,7 +32,6 @@ from diracsym import (
     verify_tau,
 )
 from diracsym.certificate import FLAGS, flags_for
-from diracsym.spectra import _su2_pair, _casimir
 from diracsym.symmetry import C, PARITY, PTC, TP, TW
 
 from conftest import block_antidiag, block_diag, proj_equal

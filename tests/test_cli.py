@@ -126,6 +126,8 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         (["classify", "--dims", "2", "--jobs", "x"], "expected a positive integer, got 'x'"),
         (["gamma", "--dim", "x"], "expected an even integer dimension, got 'x'"),
         (["classify", "--dims", "4,4"], "dimension 4 is given twice"),
+        (["classify", "--dims", "4", "--expect", "Tw:no", "--expect", "Tw:yes"],
+         "claim for Tw is given twice"),
         (["classify", "--dims", "2", "--variants", "single,single"], "variant single is given twice"),
         (["classify", "--dims", "2", "--variants", "bogus"], "unknown variant 'bogus'"),
         (["solve-tau", "--dim", "2", "--symmetry", "Tw", "--mass", "1/0"],

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from diracsym import ExactMatrix, ExactScalar, pauli, solve_tau, verify_tau
 from diracsym import symmetry
 from diracsym.certificate import tau_solution_json
+from diracsym.exact import ONE
 from diracsym.models import model_for
 from diracsym.symmetry import (
     CANDIDATES,
@@ -117,6 +118,42 @@ def test_string_product_matches_dense_matmul(s):
         sign = (-1) ** bin(col & z).count("1")
         assert [j for j, v in enumerate(row) if v] == [col]
         assert row[col] == c * ExactScalar(sign)
+
+
+@st.composite
+def _string_sums(draw):
+    q = draw(st.integers(0, 3))
+    n = 1 << q
+    masks = st.integers(0, n - 1)
+    term = st.tuples(_nonzero, masks, masks)
+    return draw(st.lists(term, max_size=4)), draw(st.lists(term, max_size=4)), n
+
+
+def _dense_sum(terms, n):
+    total = ExactMatrix.zero(n)
+    for t in terms:
+        total = total + pauli.encode(*t, n)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(_string_sums())
+def test_string_sums_match_dense_sums_and_products(s):
+    a, b, n = s
+    dense_a = _dense_sum(a, n)
+    assert pauli.encode_sum(a, n) == dense_a
+    product = pauli.mul_sums(a, b)
+    assert all(product.values())
+    terms = [(c, x, z) for (x, z), c in product.items()]
+    assert pauli.encode_sum(terms, n) == dense_a @ _dense_sum(b, n)
+
+
+def test_string_sum_product_cancels_to_empty():
+    # (X + Z)(X - Z) = 1 - XZ + ZX - 1 = -2XZ, and (X + XZ)^2 = 0 because
+    # XZ anticommutes with X and squares to -1
+    x, z, xz = (ONE, 1, 0), (ONE, 0, 1), (ONE, 1, 1)
+    assert pauli.mul_sums([x, z], [x, (-ONE, 0, 1)]) == {(1, 1): ExactScalar(-2)}
+    assert pauli.mul_sums([x, xz], [x, xz]) == {}
 
 
 def test_solve_affine_lists_every_solution():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracsym import (
     DensityState,
@@ -19,7 +21,12 @@ from diracsym import (
     profile_apply_P2,
     sqrt_dirac_fiber,
 )
-from diracsym.exact import ExactScalar
+from diracsym import exact, pauli
+from diracsym.clifford import GammaSystem, system_for
+from diracsym.exact import ExactMatrix, ExactScalar
+from diracsym.models import DiracModel
+
+from dense_oracle import dense_dispersion_check, dense_hamiltonian
 
 
 class TestDispersion:
@@ -46,6 +53,102 @@ class TestDispersion:
         model = model_for(4, mass=0)
         block = dispersion_check(model, [1, 0, 0, 1])
         assert block["ok"] and block["omega2"] == Fraction(2)
+
+
+_MODELS = {
+    "single": lambda d, mass: model_for(d, mass=mass),
+    "single-": lambda d, mass: model_for(d, mass=mass, branch=-1),
+    "doubled": lambda d, mass: model_for(d, mass=mass, doubled=True),
+    "massless": lambda d, mass: model_for(d, mass=0),
+}
+_momenta = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    min_size=8,
+    max_size=8,
+)
+
+
+class TestDispersionEngines:
+    """The Pauli-string certificate against the dense oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 4, 6, 8]),
+        st.sampled_from(sorted(_MODELS)),
+        st.fractions(min_value=0, max_value=9, max_denominator=6),
+        _momenta,
+    )
+    @example(2, "massless", Fraction(0), [Fraction(0)] * 8)
+    @example(8, "massless", Fraction(0), [Fraction(0)] * 8)
+    @example(8, "doubled", Fraction(3, 7), [Fraction(k, 2) for k in range(8)])
+    def test_string_verdict_matches_dense(self, d, variant, mass, p):
+        model = _MODELS[variant](d, mass)
+        got = dispersion_check(model, p[:d])
+        assert got == dense_dispersion_check(model, p[:d])
+        assert got["ok"]
+
+    @pytest.mark.parametrize("variant", sorted(_MODELS))
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_dense_oracle_hamiltonian_is_the_model_hamiltonian(self, d, variant):
+        model = _MODELS[variant](d, Fraction(5, 3))
+        p = [Fraction(k, 3) - 1 for k in range(d)]
+        assert dense_hamiltonian(model, p) == model.hamiltonian_matrix(p)
+
+    @staticmethod
+    def _broken(d, how):
+        s = list(system_for(d).strings)
+        if how == "repeated":  # gamma_2 = gamma_1: alpha_1 and alpha_2 commute
+            s[2] = s[1]
+        elif how == "product":  # gamma_2 = gamma_1 gamma_3 commutes with gamma_1
+            s[2] = pauli.mul(s[1], s[3])
+        else:  # gamma_1 = gamma_0: alpha_1 is the identity
+            s[1] = s[0]
+        return GammaSystem(d=d, strings=tuple(s))
+
+    @pytest.mark.parametrize("how", ["repeated", "product", "identity"])
+    @pytest.mark.parametrize("doubled", [False, True])
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_broken_gamma_system_fails_in_both_engines(self, d, doubled, how):
+        model = DiracModel(self._broken(d, how), mass=Fraction(2), doubled=doubled)
+        p = [Fraction(k + 1, 2) for k in range(d)]
+        got = dispersion_check(model, p)
+        assert got == dense_dispersion_check(model, p)
+        assert not got["square_is_scalar"] and not got["ok"]
+        assert got["trace_zero"] == (how != "identity")
+
+    def test_no_dense_product_or_matrix(self, monkeypatch):
+        models = [_MODELS[v](d, Fraction(3, 7)) for v in _MODELS for d in (2, 8)]
+
+        def never(*args, **kwargs):
+            raise AssertionError("dispersion_check used the dense path")
+
+        monkeypatch.setattr(exact, "matmul", never)
+        monkeypatch.setattr(DiracModel, "hamiltonian_matrix", never)
+        monkeypatch.setattr(ExactMatrix, "_make", never)
+        monkeypatch.setattr(ExactMatrix, "__init__", never)
+        for model in models:
+            assert dispersion_check(model, list(range(model.d)))["ok"]
+
+
+class TestHamiltonianStrings:
+    def test_terms_and_encoding(self):
+        model = model_for(4, mass=3, branch=-1)
+        p = [Fraction(1), Fraction(0), Fraction(-2, 3), Fraction(5)]
+        terms = model.hamiltonian_strings(p)
+        strings = [*model.gamma.alpha_strings(), model.beta_string]
+        kept = [0, 2, 3, 4]  # p_2 = 0 is dropped
+        assert [(x, z) for _, x, z in terms] == [strings[k][1:] for k in kept]
+        coeffs = [*p, Fraction(-3)]
+        for (c, _, _), k in zip(terms, kept):
+            assert c == strings[k][0] * ExactScalar(coeffs[k])
+        assert pauli.encode_sum(terms, model.dim) == model.hamiltonian_matrix(p)
+
+    def test_massless_rest_has_no_terms(self):
+        assert model_for(6, mass=0).hamiltonian_strings([0] * 6) == []
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="4 components"):
+            model_for(4).hamiltonian_strings([1, 2, 3])
 
 
 class TestLittleGroupLabels:
