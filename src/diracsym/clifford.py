@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import pauli
 from .exact import ExactMatrix, I_UNIT, MINUS_ONE, ONE, matmul, rank
@@ -38,6 +39,13 @@ class GammaSystem:
 
     d: int
     strings: tuple
+
+    @cached_property
+    def alpha(self) -> tuple:
+        """alpha_k = gamma_0 * gamma_k for k = 1..d, as strings, derived
+        from ``strings`` on first use and then held by the system."""
+        g0 = self.strings[0]
+        return tuple(pauli.mul(g0, g) for g in self.strings[1:])
 
     @property
     def rep_dim(self) -> int:
@@ -60,12 +68,11 @@ class GammaSystem:
 
     def alpha_strings(self) -> list:
         """alpha_k = gamma_0 * gamma_k for k = 1..d, as strings."""
-        g0 = self.strings[0]
-        return [pauli.mul(g0, g) for g in self.strings[1:]]
+        return list(self.alpha)
 
     def alphas(self) -> list[ExactMatrix]:
         n = self.rep_dim
-        return [pauli.encode(*s, n) for s in self.alpha_strings()]
+        return [pauli.encode(*s, n) for s in self.alpha]
 
     @property
     def beta(self) -> ExactMatrix:

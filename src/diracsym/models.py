@@ -207,7 +207,7 @@ class DiracModel:
     def beta_string(self) -> tuple:
         """beta = gamma_0 as a string.  A doubled model gains Z on its top
         qubit, diag(beta, -beta), and is the identity there on the alphas,
-        whose strings ``gamma.alpha_strings()`` therefore serve both."""
+        whose strings ``gamma.alpha`` therefore serve both."""
         c, x, z = self.gamma.strings[0]
         if self.doubled:
             z |= self.gamma.rep_dim
@@ -216,7 +216,7 @@ class DiracModel:
     @cached_property
     def alphas(self) -> list[ExactMatrix]:
         """The dense alpha matrices, built once per model."""
-        return [pauli.encode(*s, self.dim) for s in self.gamma.alpha_strings()]
+        return [pauli.encode(*s, self.dim) for s in self.gamma.alpha]
 
     @property
     def beta(self) -> ExactMatrix:
@@ -229,7 +229,7 @@ class DiracModel:
         if len(p) != self.d:
             raise ValueError(f"momentum must have {self.d} components")
         coeffs = [*p, self.branch * self.mass]
-        strings = [*self.gamma.alpha_strings(), self.beta_string]
+        strings = [*self.gamma.alpha, self.beta_string]
         terms = []
         for coef, (c, x, z) in zip(coeffs, strings):
             c = c * ExactScalar(Fraction(coef))
@@ -273,8 +273,15 @@ def hamiltonian(model: DiracModel) -> OperatorSymbol:
     return symbol(model, generator(model, "P0"))
 
 
-def _times(c: ExactScalar, s: tuple) -> tuple:
-    return pauli.mul((c, 0, 0), s)
+def _times(k: ExactScalar, s: tuple) -> tuple:
+    """The string k * s for a scalar k."""
+    c, x, z = s
+    return k * c, x, z
+
+
+def _neg(s: tuple) -> tuple:
+    c, x, z = s
+    return -c, x, z
 
 
 _IDENTITY = (ONE, 0, 0)
@@ -294,14 +301,15 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
 
     J0k is t*p_k - x_k*H + (i/2)*alpha_k, the symmetrized boost
     t*p_k - (x_k*H + H*x_k)/2 reordered with [x_k, p_l] = i*delta_kl.
+    The alpha strings are the ones the gamma system holds; the only
+    string product is alpha_l*alpha_k in Jkl.
     """
     d = model.d
-    alphas = model.gamma.alpha_strings()
-    bm_beta = _times(ExactScalar(model.branch * model.mass), model.beta_string)
+    alphas = model.gamma.alpha
     if which == "P0":
         gen = {p_monomial(d, j): a for j, a in enumerate(alphas, start=1)}
         if model.mass:
-            gen[unit_monomial(d)] = bm_beta
+            gen[unit_monomial(d)] = _bm_beta(model)
         return gen
     if which == "Pk":
         _check_index(k, d)
@@ -320,12 +328,16 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
         _check_index(k, d)
         gen = {(1, *p_monomial(d, k)[1:]): _IDENTITY}
         for j, a in enumerate(alphas, start=1):
-            gen[_mono_xp(d, k, j)] = _times(MINUS_ONE, a)
+            gen[_mono_xp(d, k, j)] = _neg(a)
         if model.mass:
-            gen[x_monomial(d, k)] = _times(MINUS_ONE, bm_beta)
+            gen[x_monomial(d, k)] = _neg(_bm_beta(model))
         gen[unit_monomial(d)] = _times(_HALF_I, alphas[k - 1])
         return gen
     raise ValueError(f"unknown generator kind: {which}")
+
+
+def _bm_beta(model: DiracModel) -> tuple:
+    return _times(ExactScalar(model.branch * model.mass), model.beta_string)
 
 
 def _mono_xp(d: int, xk: int, pl: int) -> Monomial:

@@ -15,11 +15,16 @@ The generators are given in closed form, every coefficient one scalar
 times one Pauli string (``models.generator``), so the equation is
 diagonal in strings: a string tau either solves all of it or none of it,
 and the strings that solve it are the solutions of an affine system over
-GF(2) (``pauli``).  Dense matrices are built only for the solution
-strings, in the basis an exact nullspace computation on the entries of
-tau would give.  Every string is unitary, so a candidate is a symmetry
-exactly when a solution string exists, and the first one is the
-reported invertible representative: no search over the span is needed.
+GF(2) (``pauli``) with one row per distinct coefficient string.  A row's
+right-hand side is an integer sign: a coefficient q*i^k*P keeps its
+rational size q under T, so the monomial's sign and, for an antilinear
+S, the parity of k decide it (``_string_rows``).  Exact scalars enter
+only the orbital residuals of identity-string terms.  Dense matrices are
+built only for the solution strings, in the basis an exact nullspace
+computation on the entries of tau would give.  Every string is unitary,
+so a candidate is a symmetry exactly when a solution string exists, and
+the first one is the reported invertible representative: no search over
+the span is needed.
 """
 
 from __future__ import annotations
@@ -192,41 +197,45 @@ def _generators(model: DiracModel):
 def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
-    Every generator coefficient is a string B = lam*P, and its image
-    in T(G) is A = lam_A*P with lam_A from the same sign and conjugation
-    rule as ``transform``.  Then S*A = eps*B*S iff
-    (-1)^<S,P>*lam_A = eps*lam: one row per (generator, monomial),
-    <S,P> = 0 when eps*lam = lam_A, <S,P> = 1 when eps*lam = -lam_A,
-    and the contradiction 0 = 1 otherwise.  Returns (rows as (mask, rhs)
-    pairs, orbital inconsistencies).
+    Every generator coefficient is a string B = lam*P, and its image in
+    T(G) is A = lam_A*P with lam_A = s*lam, or s*conj(lam) when S is
+    antilinear, s the monomial's sign (``_term_sign``).  Then
+    S*A = eps*B*S iff (-1)^<S,P>*lam_A = eps*lam.  A real lam has
+    lam_A = s*lam, and an imaginary one under an antilinear S has
+    lam_A = -s*lam, so lam_A/lam is an integer sign r and the row is
+    <S,P> = [eps != r], whatever the rational size of lam.  Any other
+    lam under an antilinear S gives lam_A/lam off +-1: the
+    contradiction 0 = 1.  Each distinct (mask, rhs) is emitted once, in
+    first-seen order.
+
+    Returns (rows as (mask, rhs) pairs, orbital inconsistencies).  An
+    inconsistency is an identity-string term whose row fails; only there
+    is the exact residual lam_A - eps*lam computed.
     """
     nq = pauli.qubits(model.dim)
-    rows = []
+    antilinear = cand.antilinear
+    rows = {}
     inconsistencies = []
     for cls, label, g in _generators(model):
         if not include_j and cls in ("Jkl", "J0k"):
             continue
-        eps = ExactScalar(cand.eps(cls))
+        eps = cand.eps(cls)
         for mono in sorted(g):
             lam, x, z = g[mono]
-            lam_a = lam.conjugate() if cand.antilinear else lam
-            if _term_sign(mono, cand) < 0:
-                lam_a = -lam_a
-            lam_b = eps * lam
-            if not (x or z):
-                resid = lam_a - lam_b
-                if resid:
-                    inconsistencies.append(
-                        {"generator": label, "monomial": mono, "scale": resid}
-                    )
-            mask = pauli.symplectic_mask(x, z, nq)
-            if lam_b == lam_a:
-                rows.append((mask, 0))
-            elif lam_b == -lam_a:
-                rows.append((mask, 1))
+            sign = _term_sign(mono, cand)
+            if antilinear and lam.im and lam.re:
+                row = (0, 1)
             else:
-                rows.append((0, 1))
-    return rows, inconsistencies
+                r = -sign if antilinear and lam.im else sign
+                row = (pauli.symplectic_mask(x, z, nq), int(eps != r))
+            rows[row] = None
+            if row[1] and not (x or z):
+                lam_a = lam.conjugate() if antilinear else lam
+                resid = (lam_a if sign > 0 else -lam_a) - ExactScalar(eps) * lam
+                inconsistencies.append(
+                    {"generator": label, "monomial": mono, "scale": resid}
+                )
+    return list(rows), inconsistencies
 
 
 def _last_pivot_basis(mats: list) -> list:

@@ -15,11 +15,18 @@ where the engine takes its first solution string.
 ``diracsym.spectra.dispersion_check``: it builds H(p) from the dense
 gammas by matrix products and compares H(p) @ H(p) with omega2 * I
 entry by entry, where the engine multiplies Pauli strings.
+
+``reference_string_rows`` is the engine's row builder as it stood
+before rows were decided by integer signs: one row per (generator,
+monomial) with duplicates kept, each sign decided by exact scalar
+comparisons.  The fast builder must give the same row set, solutions
+and orbital inconsistencies.
 """
 
 import itertools
 from fractions import Fraction
 
+from diracsym import pauli
 from diracsym.exact import ExactMatrix, ExactScalar, ZERO, _Rref, nullspace_from_rref
 from diracsym.models import DiracModel, symbol
 from diracsym.symmetry import (
@@ -27,6 +34,7 @@ from diracsym.symmetry import (
     TauSolution,
     _generators,
     _normalize,
+    _term_sign,
     clifford2_span,
     transform,
 )
@@ -246,3 +254,43 @@ def dense_dispersion_check(model: DiracModel, p) -> dict:
         "trace_zero": trace_zero,
         "ok": square_ok and trace_zero,
     }
+
+
+def reference_string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
+    """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
+
+    Every generator coefficient is a string B = lam*P, and its image
+    in T(G) is A = lam_A*P with lam_A from the same sign and conjugation
+    rule as ``transform``.  Then S*A = eps*B*S iff
+    (-1)^<S,P>*lam_A = eps*lam: one row per (generator, monomial),
+    <S,P> = 0 when eps*lam = lam_A, <S,P> = 1 when eps*lam = -lam_A,
+    and the contradiction 0 = 1 otherwise.  Returns (rows as (mask, rhs)
+    pairs, orbital inconsistencies).
+    """
+    nq = pauli.qubits(model.dim)
+    rows = []
+    inconsistencies = []
+    for cls, label, g in _generators(model):
+        if not include_j and cls in ("Jkl", "J0k"):
+            continue
+        eps = ExactScalar(cand.eps(cls))
+        for mono in sorted(g):
+            lam, x, z = g[mono]
+            lam_a = lam.conjugate() if cand.antilinear else lam
+            if _term_sign(mono, cand) < 0:
+                lam_a = -lam_a
+            lam_b = eps * lam
+            if not (x or z):
+                resid = lam_a - lam_b
+                if resid:
+                    inconsistencies.append(
+                        {"generator": label, "monomial": mono, "scale": resid}
+                    )
+            mask = pauli.symplectic_mask(x, z, nq)
+            if lam_b == lam_a:
+                rows.append((mask, 0))
+            elif lam_b == -lam_a:
+                rows.append((mask, 1))
+            else:
+                rows.append((0, 1))
+    return rows, inconsistencies

@@ -1,10 +1,19 @@
 """Gamma-system construction and Clifford-monomial bookkeeping."""
 
+import dataclasses
 import math
 
 import pytest
 
-from diracsym import ExactMatrix, base_system, extend, monomial_basis, pauli, system_for
+from diracsym import (
+    ExactMatrix,
+    GammaSystem,
+    base_system,
+    extend,
+    monomial_basis,
+    pauli,
+    system_for,
+)
 from diracsym.clifford import monomials_span_full_space
 from diracsym.exact import I_UNIT
 
@@ -33,6 +42,21 @@ def test_string_gammas_match_kron_recursion(d):
     assert list(gs.gammas) == kron_gammas(d)
     assert gs.gamma0 == gs.beta == gs.gammas[0]
     assert gs.alphas() == [gs.gammas[0] @ g for g in gs.gammas[1:]]
+
+
+def test_alpha_strings_are_derived_once():
+    gs = system_for(6)
+    g0 = gs.strings[0]
+    assert gs.alpha == tuple(pauli.mul(g0, g) for g in gs.strings[1:])
+    assert gs.alpha is gs.alpha
+    assert gs.alpha_strings() == list(gs.alpha)
+    assert gs.alpha_strings() is not gs.alpha_strings()
+    # derived: equality, hash and repr see only d and strings
+    same = GammaSystem(d=6, strings=gs.strings)
+    assert same == gs and hash(same) == hash(gs)
+    assert "alpha" not in repr(gs)
+    swapped = dataclasses.replace(gs, strings=(gs.strings[1], *gs.strings[1:]))
+    assert swapped.alpha[0] == pauli.mul(gs.strings[1], gs.strings[1])
 
 
 def test_monomials_carry_their_strings():

@@ -6,21 +6,23 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diracsym import ExactMatrix, ExactScalar, pauli, solve_tau, verify_tau
 from diracsym import symmetry
 from diracsym.certificate import tau_solution_json
-from diracsym.exact import ONE
+from diracsym.exact import I_UNIT, ONE
 from diracsym.models import model_for
 from diracsym.symmetry import (
     CANDIDATES,
+    GENERATOR_CLASSES,
     PARITY,
+    TW,
     VARIANTS,
     model_for_variant,
 )
 
-from dense_oracle import dense_solve_tau
+from dense_oracle import dense_solve_tau, reference_string_rows
 
 EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
@@ -72,18 +74,24 @@ def test_all_stored_cells_match():
             assert got == want, (ansatz, key)
 
 
+def _tilted(real, cls, factor):
+    """``generator`` with every coefficient of one class scaled by factor."""
+
+    def gen(model, which, k=0, l=0):
+        g = real(model, which, k=k, l=l)
+        if which == cls:
+            g = {mono: (c * factor, x, z) for mono, (c, x, z) in g.items()}
+        return g
+
+    return gen
+
+
 def test_ratio_off_the_unit_signs_empties_the_cell(monkeypatch):
     # a (1+i)*I momentum coefficient: an antilinear candidate meets
     # r = +-(1+i)/(1-i) = +-i, which no string and no dense tau satisfies
-    real = symmetry.generator
-
-    def tilted(model, which, k=0, l=0):
-        g = real(model, which, k=k, l=l)
-        if which == "Pk":
-            g = {mono: (c * ExactScalar(1, 1), x, z) for mono, (c, x, z) in g.items()}
-        return g
-
-    monkeypatch.setattr(symmetry, "generator", tilted)
+    monkeypatch.setattr(
+        symmetry, "generator", _tilted(symmetry.generator, "Pk", ExactScalar(1, 1))
+    )
     model = model_for(4)
     for name in ("P", "Tw", "C", "TpC"):
         got = solve_tau(model, CANDIDATES[name])
@@ -176,3 +184,82 @@ def test_solve_tau_reaches_the_first_string_branch(monkeypatch):
     assert not any(b.is_invertible() for b in sol.basis)
     assert sol.invertible_representative == ExactMatrix.identity(4)
     assert verify_tau(model, PARITY, sol.invertible_representative)
+
+
+def _inconsistency_json(found):
+    return [(i["generator"], i["monomial"], i["scale"].to_json()) for i in found]
+
+
+def _assert_rows_match_reference(model, cand, include_j):
+    rows, found = symmetry._string_rows(model, cand, include_j)
+    want_rows, want_found = reference_string_rows(model, cand, include_j)
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == set(want_rows)
+    nbits = 2 * pauli.qubits(model.dim)
+    assert pauli.solve_affine(rows, nbits) == pauli.solve_affine(want_rows, nbits)
+    assert _inconsistency_json(found) == _inconsistency_json(want_found)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 14, 16])
+def test_rows_match_scalar_reference(d):
+    for variant in VARIANTS:
+        model = model_for_variant(d, variant)
+        for cand in CANDIDATES.values():
+            for include_j in (True, False):
+                _assert_rows_match_reference(model, cand, include_j)
+
+
+_positive = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.sampled_from([2, 4, 6]),
+    mass=_positive,
+    branch=st.sampled_from([1, -1]),
+    doubled=st.booleans(),
+    name=st.sampled_from(sorted(CANDIDATES)),
+    include_j=st.booleans(),
+    tilt=st.none()
+    | st.tuples(
+        st.sampled_from(GENERATOR_CLASSES),
+        _positive,
+        st.sampled_from([ONE, I_UNIT, -ONE, -I_UNIT, ExactScalar(1, 1), ExactScalar(2, -1)]),
+    ),
+)
+@example(
+    d=4, mass=Fraction(2, 3), branch=-1, doubled=False, name="C", include_j=True,
+    tilt=("P0", Fraction(3), ExactScalar(1, 1)),
+)
+@example(
+    d=4, mass=Fraction(5, 2), branch=1, doubled=True, name="Tw", include_j=True,
+    tilt=("Pk", Fraction(1, 2), I_UNIT),
+)
+def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, include_j, tilt):
+    # bm*beta carries q = branch*mass; a tilt scales one generator class
+    # by q*i^k, or by a factor neither real nor imaginary
+    model = model_for(d, mass=mass, branch=branch, doubled=doubled)
+    with pytest.MonkeyPatch.context() as mp:
+        if tilt is not None:
+            cls, q, phase = tilt
+            factor = ExactScalar(q) * phase
+            mp.setattr(symmetry, "generator", _tilted(symmetry.generator, cls, factor))
+        _assert_rows_match_reference(model, CANDIDATES[name], include_j)
+
+
+def test_cell_costs_quadratically_many_string_products(monkeypatch):
+    # 1 + 2d + d(d-1) products bound an O(d^2) cell; recomputing the
+    # alphas per generator call costs O(d^3), 541 products at d = 8
+    d = 8
+    model = model_for(d)
+    calls = []
+    real = pauli.mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(pauli, "mul", counting)
+    sol = solve_tau(model, TW)
+    assert sol.exists
+    assert len(calls) <= 1 + 2 * d + d * (d - 1)
