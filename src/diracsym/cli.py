@@ -269,7 +269,7 @@ def _cmd_report(args) -> int:
         try:
             with open(path) as fh:
                 c = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             print(f"{path}: unreadable certificate: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not isinstance(c, dict):
@@ -277,6 +277,10 @@ def _cmd_report(args) -> int:
                 f"{path}: unreadable certificate: top-level JSON is not an object",
                 file=sys.stderr,
             )
+            return EXIT_USAGE
+        flags = c.get("flags", {})
+        if not isinstance(flags, dict):
+            print(f"{path}: unreadable certificate: flags is not an object", file=sys.stderr)
             return EXIT_USAGE
         ok = cert.verify_certificate(c)
         print(f"{path}: kind={c.get('kind')} hash={'ok' if ok else 'BAD'}")
@@ -297,7 +301,7 @@ def _cmd_report(args) -> int:
                 print(line)
             if mismatched:
                 status = EXIT_MISMATCH
-        for flag in c.get("flags", {}):
+        for flag in flags:
             print(f"  flag: {flag}")
     return status
 
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes, at most one per cell",
+        help="accepted and ignored: every cell is solved in this process",
     )
     output(p)
     p.set_defaults(func=_cmd_classify)

@@ -66,18 +66,6 @@ class GammaSystem:
     def gamma0(self) -> ExactMatrix:
         return pauli.encode(*self.strings[0], self.rep_dim)
 
-    def alpha_strings(self) -> list:
-        """alpha_k = gamma_0 * gamma_k for k = 1..d, as strings."""
-        return list(self.alpha)
-
-    def alphas(self) -> list[ExactMatrix]:
-        n = self.rep_dim
-        return [pauli.encode(*s, n) for s in self.alpha]
-
-    @property
-    def beta(self) -> ExactMatrix:
-        return self.gamma0
-
     def check_relations(self) -> list[dict]:
         """Per-pair Clifford relation report, checked on the dense
         matrices independently of the string recursion (all exact)."""

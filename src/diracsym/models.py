@@ -351,21 +351,3 @@ def _mono_xp(d: int, xk: int, pl: int) -> Monomial:
 def _check_index(k: int, d: int) -> None:
     if not 1 <= k <= d:
         raise ValueError(f"index {k} out of range 1..{d}")
-
-
-def square_of_hamiltonian(model: DiracModel) -> OperatorSymbol:
-    """H*H as a symbol; collapses to (sum_k p_k^2 + mass^2) * I."""
-    h = hamiltonian(model)
-    return h * h
-
-
-def dispersion_scalar(model: DiracModel) -> OperatorSymbol | None:
-    """The scalar symbol S with H^2 == S*I, or None if H^2 is not scalar."""
-    sq = square_of_hamiltonian(model)
-    out = OperatorSymbol(model.d, 1)
-    for mono, mat in sq.terms.items():
-        c = mat.scalar_multiple_of_identity()
-        if c is None:
-            return None
-        out._add_term(mono, ExactMatrix([[c]]))
-    return out

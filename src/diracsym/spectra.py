@@ -76,7 +76,7 @@ def _casimirs(model: DiracModel) -> tuple[ExactMatrix, ExactMatrix]:
     convention that puts (1/2, 0) on the positive-energy subspace of the
     branch=+1 model.
     """
-    al = model.gamma.alpha_strings()
+    al = model.gamma.alpha
 
     def spin(k, l, sign=1):
         # sign * S_kl as one string

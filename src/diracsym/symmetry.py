@@ -29,7 +29,6 @@ the span is needed.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import pauli
@@ -429,13 +428,6 @@ def model_for_variant(d: int, variant: str, mass=1) -> DiracModel:
     raise ValueError(f"unknown variant: {variant}")
 
 
-def _solve_cell(args):
-    d, variant, cand_name, mass = args
-    model = model_for_variant(d, variant, mass=mass)
-    sol = solve_tau(model, CANDIDATES[cand_name], variant=variant)
-    return (d, variant, cand_name, sol)
-
-
 def classify(
     dims,
     variants=("single",),
@@ -445,29 +437,15 @@ def classify(
 ) -> list[ClassificationRecord]:
     """Existence table over (d, variant, candidate) cells.
 
-    Cells are independent and pure; with jobs > 1 they are distributed
-    over at most one worker process per cell and merged back in
-    deterministic order.
+    Every cell is solved in this process, in order, and the candidates of
+    a (d, variant) row share one model.  ``jobs`` is accepted and ignored.
     """
-    cells = [
-        (d, v, c, mass)
-        for d in sorted(dims)
-        for v in variants
-        for c in candidates
-    ]
-    workers = min(jobs, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_solve_cell, cells))
-    else:
-        results = [_solve_cell(c) for c in cells]
-    by_key = {(d, v, c): sol for d, v, c, sol in results}
     records = []
     for d in sorted(dims):
         for v in variants:
+            model = model_for_variant(d, v, mass=mass)
             rec = ClassificationRecord(d=d, variant=v)
             for c in candidates:
-                sol = by_key[(d, v, c)]
-                rec.entries[c] = sol
+                rec.entries[c] = solve_tau(model, CANDIDATES[c], variant=v)
             records.append(rec)
     return records

@@ -15,6 +15,8 @@ where the engine takes its first solution string.
 ``diracsym.spectra.dispersion_check``: it builds H(p) from the dense
 gammas by matrix products and compares H(p) @ H(p) with omega2 * I
 entry by entry, where the engine multiplies Pauli strings.
+``square_of_hamiltonian`` and ``dispersion_scalar`` square the symbol of
+H in the canonical x-p algebra and read off the scalar symbol of H^2.
 
 ``reference_string_rows`` is the engine's row builder as it stood
 before rows were decided by integer signs: one row per (generator,
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 from diracsym import pauli
 from diracsym.exact import ExactMatrix, ExactScalar, ZERO, _Rref, nullspace_from_rref
-from diracsym.models import DiracModel, symbol
+from diracsym.models import DiracModel, OperatorSymbol, hamiltonian, symbol
 from diracsym.symmetry import (
     SymmetryCandidate,
     TauSolution,
@@ -254,6 +256,24 @@ def dense_dispersion_check(model: DiracModel, p) -> dict:
         "trace_zero": trace_zero,
         "ok": square_ok and trace_zero,
     }
+
+
+def square_of_hamiltonian(model: DiracModel) -> OperatorSymbol:
+    """H*H as a symbol; collapses to (sum_k p_k^2 + mass^2) * I."""
+    h = hamiltonian(model)
+    return h * h
+
+
+def dispersion_scalar(model: DiracModel) -> OperatorSymbol | None:
+    """The scalar symbol S with H^2 == S*I, or None if H^2 is not scalar."""
+    sq = square_of_hamiltonian(model)
+    out = OperatorSymbol(model.d, 1)
+    for mono, mat in sq.terms.items():
+        c = mat.scalar_multiple_of_identity()
+        if c is None:
+            return None
+        out._add_term(mono, ExactMatrix([[c]]))
+    return out
 
 
 def reference_string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):

@@ -1,10 +1,16 @@
 """Command-line interface: certificates on disk and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diracsym
 from diracsym import ExactMatrix, make_certificate, model_for, verify_certificate
+from diracsym.certificate import content_hash
 from diracsym import cli
 from diracsym.cli import main
 
@@ -159,6 +165,22 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert run(["report", str(not_an_object)]) == 1
     err = capsys.readouterr().err
     assert "top-level JSON is not an object" in err and "Traceback" not in err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    assert run(["report", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert f"{deep}: unreadable certificate: " in err and "Traceback" not in err
+    for flags in (5, None, "ab", []):
+        # hash-valid, so only the type of the flags is wrong
+        body = make_certificate("gamma", {"d": 2}, {}, set())
+        del body["content_hash"]
+        body["flags"] = flags
+        bad_flags = tmp_path / "flags.json"
+        bad_flags.write_text(json.dumps({**body, "content_hash": content_hash(body)}))
+        assert run(["report", str(bad_flags)]) == 1, flags
+        out, err = capsys.readouterr()
+        assert f"{bad_flags}: unreadable certificate: flags is not an object" in err
+        assert "flag:" not in out and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -211,3 +233,16 @@ def test_out_and_json_prints_and_writes(tmp_path, capsys):
     assert run(["gamma", "--dim", "2", "--json", "--out", str(out)]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed == load(out)
+
+
+def test_cli_import_starts_no_process_machinery():
+    src = str(Path(diracsym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, diracsym.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -33,15 +33,16 @@ def test_base_alphas_and_beta_are_paulis():
     gs = base_system()
     model_alphas = [gs.gamma0 @ g for g in gs.gammas[1:]]
     assert model_alphas == [SIGMA1, SIGMA2]
-    assert gs.beta == SIGMA3
+    assert gs.gamma0 == SIGMA3
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
 def test_string_gammas_match_kron_recursion(d):
     gs = system_for(d)
     assert list(gs.gammas) == kron_gammas(d)
-    assert gs.gamma0 == gs.beta == gs.gammas[0]
-    assert gs.alphas() == [gs.gammas[0] @ g for g in gs.gammas[1:]]
+    assert gs.gamma0 == gs.gammas[0]
+    alphas = [pauli.encode(*s, gs.rep_dim) for s in gs.alpha]
+    assert alphas == [gs.gammas[0] @ g for g in gs.gammas[1:]]
 
 
 def test_alpha_strings_are_derived_once():
@@ -49,8 +50,6 @@ def test_alpha_strings_are_derived_once():
     g0 = gs.strings[0]
     assert gs.alpha == tuple(pauli.mul(g0, g) for g in gs.strings[1:])
     assert gs.alpha is gs.alpha
-    assert gs.alpha_strings() == list(gs.alpha)
-    assert gs.alpha_strings() is not gs.alpha_strings()
     # derived: equality, hash and repr see only d and strings
     same = GammaSystem(d=6, strings=gs.strings)
     assert same == gs and hash(same) == hash(gs)
@@ -92,7 +91,7 @@ def test_alpha_reality_pattern():
     """alpha_k = gamma0*gamma_k: odd k real, even k imaginary; beta real."""
     for d in (2, 4, 6, 8):
         gs = system_for(d)
-        assert gs.beta.conj() == gs.beta
+        assert gs.gamma0.conj() == gs.gamma0
         for k, g in enumerate(gs.gammas[1:], start=1):
             a = gs.gamma0 @ g
             if k % 2:

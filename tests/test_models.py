@@ -10,10 +10,8 @@ from diracsym import ExactMatrix, ExactScalar, OperatorSymbol, doubled, model_fo
 from diracsym import models
 from diracsym.exact import I_UNIT
 from diracsym.models import (
-    dispersion_scalar,
     hamiltonian,
     p_monomial,
-    square_of_hamiltonian,
     t_monomial,
     unit_monomial,
     x_monomial,
@@ -21,6 +19,7 @@ from diracsym.models import (
 from diracsym.symmetry import VARIANTS, model_for_variant
 
 from conftest import block_diag
+from dense_oracle import dispersion_scalar, square_of_hamiltonian
 from gamma_reference import kron_gammas
 
 
@@ -215,10 +214,12 @@ class TestDoubledModel:
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_alphas_built_once_per_model(d):
     single = model_for(d, mass=1)
-    assert single.alphas == single.gamma.alphas()
+    g = kron_gammas(d)
+    reference = [g[0] @ gk for gk in g[1:]]
+    assert single.alphas == reference
     assert single.alphas is single.alphas
     dbl = doubled(single)
-    assert dbl.alphas == [block_diag(a, a) for a in single.gamma.alphas()]
+    assert dbl.alphas == [block_diag(a, a) for a in reference]
     assert dbl.alphas is dbl.alphas
     other = replace(single, mass=Fraction(3))
     assert other.alphas == single.alphas

@@ -135,7 +135,7 @@ class TestHamiltonianStrings:
         model = model_for(4, mass=3, branch=-1)
         p = [Fraction(1), Fraction(0), Fraction(-2, 3), Fraction(5)]
         terms = model.hamiltonian_strings(p)
-        strings = [*model.gamma.alpha_strings(), model.beta_string]
+        strings = [*model.gamma.alpha, model.beta_string]
         kept = [0, 2, 3, 4]  # p_2 = 0 is dropped
         assert [(x, z) for _, x, z in terms] == [strings[k][1:] for k in kept]
         coeffs = [*p, Fraction(-3)]

@@ -325,41 +325,28 @@ class TestClassification:
         }
 
     def test_parallel_merge_is_deterministic(self):
+        # jobs is accepted and ignored, however large
         seq = classify([2, 4], variants=("single", "massless"))
-        par = classify([2, 4], variants=("single", "massless"), jobs=2)
-        assert len(seq) == len(par)
-        for a, b in zip(seq, par):
-            assert (a.d, a.variant) == (b.d, b.variant)
-            for name in a.entries:
-                assert a.entries[name].exists == b.entries[name].exists
-                assert a.entries[name].dim == b.entries[name].dim
+        for jobs in (2, 10**6):
+            par = classify([2, 4], variants=("single", "massless"), jobs=jobs)
+            assert len(seq) == len(par)
+            for a, b in zip(seq, par):
+                assert (a.d, a.variant) == (b.d, b.variant)
+                for name in a.entries:
+                    assert a.entries[name].exists == b.entries[name].exists
+                    assert a.entries[name].dim == b.entries[name].dim
 
-    def test_workers_capped_at_cell_count(self, monkeypatch):
-        # records the pool size and runs the cells in this process, so no
-        # worker is ever started
-        sizes = []
+    def test_one_model_per_row(self, monkeypatch):
+        rows = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording(d, variant, mass=1):
+            rows.append((d, variant))
+            return model_for_variant(d, variant, mass=mass)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(symmetry, "ProcessPoolExecutor", RecordingPool)
-        records = classify([2], jobs=10**6)
-        assert sizes == [len(CLASSIFY_ORDER)]
-        assert [r.entries[c].dim for r in records for c in CLASSIFY_ORDER] == [
-            r.entries[c].dim for r in classify([2]) for c in CLASSIFY_ORDER
-        ]
-        classify([2], candidates=("P",), jobs=8)
-        assert sizes == [len(CLASSIFY_ORDER)]  # one cell runs in-process
+        monkeypatch.setattr(symmetry, "model_for_variant", recording)
+        records = classify([4, 6], variants=("single", "doubled"))
+        assert rows == [(4, "single"), (4, "doubled"), (6, "single"), (6, "doubled")]
+        assert [len(r.entries) for r in records] == [len(CLASSIFY_ORDER)] * 4
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
