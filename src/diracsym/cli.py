@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import certificate as cert
 from .clifford import system_for
+from .exact import parse_rational
 from .models import model_for
 from .spectra import dispersion_check, little_group_labels
 from .symmetry import (
@@ -91,11 +92,9 @@ def _variants(value: str) -> list[str]:
 
 
 def _rational(value: str) -> Fraction:
-    # exponent notation is refused: Fraction expands it with no bound
     try:
-        if "e" not in value.lower():
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(value)
+    except ValueError:
         pass
     raise argparse.ArgumentTypeError(
         f"expected a rational number such as 3/7, got {value!r}"

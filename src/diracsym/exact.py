@@ -123,6 +123,21 @@ MINUS_ONE = ExactScalar(-1)
 I_UNIT = ExactScalar(0, 1)
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational from text such as 3, -0.25 or 3/7; a ValueError names
+    any other text.
+
+    Exponent notation is refused: Fraction expands "1e999999999" into a
+    billion-digit integer, with no bound.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
+
+
 def scalar(re: RationalLike = 0, im: RationalLike = 0) -> ExactScalar:
     return ExactScalar(re, im)
 

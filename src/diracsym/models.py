@@ -222,6 +222,22 @@ class DiracModel:
     def beta(self) -> ExactMatrix:
         return pauli.encode(*self.beta_string, self.dim)
 
+    @cached_property
+    def generators(self) -> list:
+        """Every generator as (class, label, {monomial: string}), grouped
+        by class in a fixed order: P0, the d momenta, the d(d-1)/2
+        rotations Jkl (k < l), the d boosts.  Built once per model."""
+        d = self.d
+        gens = [("P0", "P0", generator(self, "P0"))]
+        for k in range(1, d + 1):
+            gens.append(("Pk", f"P{k}", generator(self, "Pk", k=k)))
+        for k in range(1, d + 1):
+            for l in range(k + 1, d + 1):
+                gens.append(("Jkl", f"J{k}{l}", generator(self, "Jkl", k=k, l=l)))
+        for k in range(1, d + 1):
+            gens.append(("J0k", f"J0{k}", generator(self, "J0k", k=k)))
+        return gens
+
     def hamiltonian_strings(self, p) -> list:
         """The terms (c, x, z) of H(p) for a rational momentum vector p of
         length d: p_k times alpha_k and branch*mass times beta, the zero

@@ -6,7 +6,10 @@ The dispersion certificate is decided on the Pauli strings of H(p)
 (``pauli``) and builds no dense matrix; the d=4 little-group labels build
 their Casimirs as string sums and then take dense exact nullspaces, and
 the d=4 fiber check squares a dense H.  Floating point is quarantined to
-the density-matrix evolution.
+the density-matrix evolution, and so is numpy: ``DensityState``,
+``_float_matrix`` and ``evolution_operator`` import it on first use, so
+importing this module, and every exact check in it, loads no numerical
+library.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import pauli
-from .exact import ZERO, ExactMatrix, ExactScalar, nullspace
+from .exact import ZERO, ExactMatrix, ExactScalar, nullspace, parse_rational
 from .models import DiracModel, model_for
 
 HERMITICITY_TOL = 1e-12
@@ -213,10 +214,17 @@ class MassProfile:
 def load_mass_profile(path) -> MassProfile:
     """Read a profile file: a JSON list of [m2, weight] pairs, values as
     numbers or rational strings.  The support interval is the hull of the
-    positively weighted samples."""
+    positively weighted samples.  A string in exponent notation is
+    refused (``exact.parse_rational``); a JSON number's exponent is bounded
+    by the float it parses to, so numbers such as 1e-07 are read as
+    written."""
     with open(path) as fh:
         data = json.load(fh)
-    samples = tuple((Fraction(str(m2)), Fraction(str(g))) for m2, g in data)
+
+    def value(v) -> Fraction:
+        return parse_rational(v) if isinstance(v, str) else Fraction(str(v))
+
+    samples = tuple((value(m2), value(g)) for m2, g in data)
     carried = [m2 for m2, g in samples if g > 0]
     if not carried:
         raise ValueError("profile has no positive weight")
@@ -267,6 +275,8 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
@@ -278,6 +288,8 @@ class DensityState:
 
 
 def _float_matrix(m: ExactMatrix) -> np.ndarray:
+    import numpy as np
+
     return np.array(
         [[complex(v.re) + 1j * complex(v.im) for v in row] for row in m.rows]
     )
@@ -285,6 +297,8 @@ def _float_matrix(m: ExactMatrix) -> np.ndarray:
 
 def evolution_operator(model: DiracModel, p, t: float) -> np.ndarray:
     """exp(-i H(p) t) via the spectral split H^2 = omega^2 I."""
+    import numpy as np
+
     p = [Fraction(x) for x in p]
     h = _float_matrix(model.hamiltonian_matrix(p))
     omega2 = float(sum((x * x for x in p), Fraction(0)) + model.mass**2)

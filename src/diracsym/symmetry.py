@@ -44,7 +44,6 @@ from .exact import (
 from .models import (
     DiracModel,
     OperatorSymbol,
-    generator,
     model_for,
     symbol,
 )
@@ -179,20 +178,6 @@ class TauSolution:
         return self.invertible_representative is not None
 
 
-def _generators(model: DiracModel):
-    """Deterministic generator list, grouped by class."""
-    d = model.d
-    gens = [("P0", "P0", generator(model, "P0"))]
-    for k in range(1, d + 1):
-        gens.append(("Pk", f"P{k}", generator(model, "Pk", k=k)))
-    for k in range(1, d + 1):
-        for l in range(k + 1, d + 1):
-            gens.append(("Jkl", f"J{k}{l}", generator(model, "Jkl", k=k, l=l)))
-    for k in range(1, d + 1):
-        gens.append(("J0k", f"J0{k}", generator(model, "J0k", k=k)))
-    return gens
-
-
 def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
@@ -215,7 +200,7 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     antilinear = cand.antilinear
     rows = {}
     inconsistencies = []
-    for cls, label, g in _generators(model):
+    for cls, label, g in model.generators:
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = cand.eps(cls)
@@ -379,7 +364,7 @@ def verify_tau(
     Independent of the string solver: works on whole dense generator
     symbols, not on the assembled row system.
     """
-    for cls, _, g in _generators(model):
+    for cls, _, g in model.generators:
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = ExactScalar(cand.eps(cls))

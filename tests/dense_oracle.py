@@ -34,7 +34,6 @@ from diracsym.models import DiracModel, OperatorSymbol, hamiltonian, symbol
 from diracsym.symmetry import (
     SymmetryCandidate,
     TauSolution,
-    _generators,
     _normalize,
     _term_sign,
     clifford2_span,
@@ -64,7 +63,7 @@ def _constraint_pairs(model: DiracModel, cand: SymmetryCandidate, include_j: boo
     tau*A - eps*B*tau = 0, plus a list of orbital inconsistencies."""
     inconsistencies = []
     pairs = []
-    for cls, label, g in _generators(model):
+    for cls, label, g in model.generators:
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = cand.eps(cls)
@@ -290,7 +289,7 @@ def reference_string_rows(model: DiracModel, cand: SymmetryCandidate, include_j:
     nq = pauli.qubits(model.dim)
     rows = []
     inconsistencies = []
-    for cls, label, g in _generators(model):
+    for cls, label, g in model.generators:
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = ExactScalar(cand.eps(cls))

@@ -235,14 +235,32 @@ def test_out_and_json_prints_and_writes(tmp_path, capsys):
     assert printed == load(out)
 
 
-def test_cli_import_starts_no_process_machinery():
+def _fresh_python(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this diracsym."""
     src = str(Path(diracsym.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = (
-        "import sys, diracsym.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+
+
+def test_cli_import_starts_no_process_machinery():
+    # nor numpy: the exact commands never touch floating point
+    unwanted = "{'multiprocessing', 'concurrent.futures.process', 'numpy'}"
+    for module in ("diracsym", "diracsym.cli"):
+        code = f"import sys, {module}; print(sorted({unwanted} & set(sys.modules)))"
+        assert _fresh_python(code).strip() == "[]", module
+
+
+def test_density_evolution_loads_numpy_on_first_use():
+    code = """
+import sys
+from diracsym import DensityState, density_evolve, model_for
+assert "numpy" not in sys.modules
+rho = DensityState(p=(1, 0), matrix=[[0.5, 0.5], [0.5, 0.5]])
+out = density_evolve((1, 0), model_for(2), rho, t=0.7, steps=3)
+print(abs(out.matrix.trace() - 1), "numpy" in sys.modules)
+"""
+    drift, loaded = _fresh_python(code).split()
+    assert float(drift) < 1e-12
+    assert loaded == "True"

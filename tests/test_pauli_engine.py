@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diracsym import ExactMatrix, ExactScalar, pauli, solve_tau, verify_tau
-from diracsym import symmetry
+from diracsym import models, symmetry
 from diracsym.certificate import tau_solution_json
 from diracsym.exact import I_UNIT, ONE
-from diracsym.models import model_for
+from diracsym.models import DiracModel, model_for
 from diracsym.symmetry import (
     CANDIDATES,
     GENERATOR_CLASSES,
@@ -90,7 +90,7 @@ def test_ratio_off_the_unit_signs_empties_the_cell(monkeypatch):
     # a (1+i)*I momentum coefficient: an antilinear candidate meets
     # r = +-(1+i)/(1-i) = +-i, which no string and no dense tau satisfies
     monkeypatch.setattr(
-        symmetry, "generator", _tilted(symmetry.generator, "Pk", ExactScalar(1, 1))
+        models, "generator", _tilted(models.generator, "Pk", ExactScalar(1, 1))
     )
     model = model_for(4)
     for name in ("P", "Tw", "C", "TpC"):
@@ -174,10 +174,9 @@ def test_solve_affine_lists_every_solution():
 def test_solve_tau_reaches_the_first_string_branch(monkeypatch):
     # with the momenta alone every string commutes with every constraint:
     # all 16 strings at d=4 solve, and no basis element is invertible
-    real = symmetry._generators
-    monkeypatch.setattr(
-        symmetry, "_generators", lambda model: [g for g in real(model) if g[0] == "Pk"]
-    )
+    real = DiracModel.generators.func
+    momenta = property(lambda model: [g for g in real(model) if g[0] == "Pk"])
+    monkeypatch.setattr(DiracModel, "generators", momenta)
     model = model_for(4)
     sol = solve_tau(model, PARITY)
     assert sol.dim == 16
@@ -243,7 +242,7 @@ def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, inc
         if tilt is not None:
             cls, q, phase = tilt
             factor = ExactScalar(q) * phase
-            mp.setattr(symmetry, "generator", _tilted(symmetry.generator, cls, factor))
+            mp.setattr(models, "generator", _tilted(models.generator, cls, factor))
         _assert_rows_match_reference(model, CANDIDATES[name], include_j)
 
 

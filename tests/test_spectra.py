@@ -262,6 +262,14 @@ class TestFibers:
             (Fraction(9, 4), Fraction(1, 2)),
         )
         assert profile.support == (Fraction(1), Fraction(9, 4))
+        # a JSON number keeps its float's bounded exponent; a string in
+        # exponent notation is refused, as by the CLI's rational options
+        path.write_text("[[1e-07, 1]]")
+        assert load_mass_profile(path).samples == ((Fraction(1, 10**7), Fraction(1)),)
+        for bad in ("1e5", "1/0"):
+            path.write_text(json.dumps([[bad, "1"]]))
+            with pytest.raises(ValueError, match=bad):
+                load_mass_profile(path)
 
 
 class TestDensityEvolution:

@@ -18,7 +18,7 @@ from diracsym import (
     solve_tau,
     verify_tau,
 )
-from diracsym import symmetry
+from diracsym import models, symmetry
 from diracsym.exact import _Rref, nullspace_from_rref
 from diracsym.symmetry import (
     C,
@@ -338,15 +338,25 @@ class TestClassification:
 
     def test_one_model_per_row(self, monkeypatch):
         rows = []
+        built = []
 
         def recording(d, variant, mass=1):
             rows.append((d, variant))
             return model_for_variant(d, variant, mass=mass)
 
+        def counting(model, which, k=0, l=0):
+            built.append(which)
+            return real(model, which, k=k, l=l)
+
+        real = models.generator
         monkeypatch.setattr(symmetry, "model_for_variant", recording)
+        monkeypatch.setattr(models, "generator", counting)
         records = classify([4, 6], variants=("single", "doubled"))
         assert rows == [(4, "single"), (4, "doubled"), (6, "single"), (6, "doubled")]
         assert [len(r.entries) for r in records] == [len(CLASSIFY_ORDER)] * 4
+        # the 1 + 2d + d(d-1)/2 generators of a row's model are built once
+        # and shared by its candidates: 15 at d=4, 28 at d=6
+        assert len(built) == 2 * 15 + 2 * 28
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
