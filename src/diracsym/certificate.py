@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from .clifford import GammaSystem
 from .symmetry import ClassificationRecord, SymmetryCandidate, TauSolution
@@ -133,6 +134,27 @@ def classification_json(rec: ClassificationRecord) -> dict:
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def pretty_dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, for
+    str-keyed trees: the file format of certificates.  ``json`` encodes
+    any indent in pure Python; this lays out the lines directly and
+    leaves strings to json's C escaper.  ``nl`` is the line break and
+    indentation in front of ``obj``."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [_escape(k) + ": " + pretty_dumps(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        if all(isinstance(x, str) for x in obj):
+            items = map(_escape, obj)
+        else:
+            items = [pretty_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if obj else "[]"
+    return json.dumps(obj)
 
 
 def content_hash(payload: dict) -> str:

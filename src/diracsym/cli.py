@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -128,7 +129,7 @@ class _Claims(argparse.Action):
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = cert.pretty_dumps(payload) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -152,7 +153,12 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_solve_tau(args) -> int:
-    model = model_for_variant(args.dim, args.variant, mass=args.mass)
+    mass = Fraction(1) if args.mass is None else args.mass
+    if args.variant == "massless":
+        if args.mass:
+            raise ValueError(f"--variant massless is solved at mass 0, not {args.mass}")
+        mass = Fraction(0)
+    model = model_for_variant(args.dim, args.variant, mass=mass)
     sol = solve_tau(
         model, CANDIDATES[args.symmetry], ansatz=args.ansatz, variant=args.variant
     )
@@ -161,7 +167,7 @@ def _cmd_solve_tau(args) -> int:
         {
             "d": args.dim,
             "variant": args.variant,
-            "mass": cert.frac_json(args.mass),
+            "mass": cert.frac_json(mass),
             "symmetry": args.symmetry,
             "ansatz": args.ansatz,
         },
@@ -268,7 +274,7 @@ def _cmd_report(args) -> int:
         try:
             with open(path) as fh:
                 c = json.load(fh)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             print(f"{path}: unreadable certificate: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not isinstance(c, dict):
@@ -331,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-tau", help="solve one intertwiner equation exactly")
     p.add_argument("--dim", type=_even_dim, required=True)
     p.add_argument("--variant", choices=VARIANTS, default="single")
-    p.add_argument("--mass", type=_rational, default="1")
+    p.add_argument(
+        "--mass", type=_rational, help="default 1; massless is solved at mass 0"
+    )
     p.add_argument("--symmetry", choices=sorted(CANDIDATES), required=True)
     p.add_argument("--ansatz", choices=("full", "clifford2"), default="full")
     output(p)
@@ -344,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variants", type=_variants, default="single", help="comma-separated variants"
     )
-    p.add_argument("--mass", type=_rational, default="1")
+    p.add_argument(
+        "--mass", type=_rational, default="1", help="massless rows are solved at mass 0"
+    )
     p.add_argument(
         "--expect",
         action=_Claims,
@@ -384,9 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parses, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called any number of times in a process."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -4,15 +4,14 @@ The generators are given in closed form as {monomial: Pauli string}: a
 monomial in t, x_1..x_d, p_1..p_d in normal order (every x factor left of
 every p factor), and one string (c, x, z) of ``pauli`` as its matrix
 coefficient.  ``symbol`` encodes them as operator symbols, normal-ordered
-polynomials with exact dense matrix coefficients whose multiplication
-implements [x_k, p_l] = i*delta_kl exactly; that algebra is the
-independent check on the closed forms.
+polynomials with exact dense matrix coefficients, on which ``verify_tau``
+checks intertwiners.  The symbol product, which implements
+[x_k, p_l] = i*delta_kl and checks the closed forms, is in the tests'
+dense oracle.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -47,26 +46,6 @@ def p_monomial(d: int, k: int) -> Monomial:
     return (0, (0,) * d, tuple(e))
 
 
-def t_monomial(d: int) -> Monomial:
-    return (1, (0,) * d, (0,) * d)
-
-
-def _mul_vars(k_exp_p: int, k_exp_x: int):
-    """Expansion of p^m x^n in normal order for one canonical pair.
-
-    Yields (j, scalar) with the reordered term x^(n-j) p^(m-j) carrying
-    scalar = C(m,j) C(n,j) j! (-i)^j.
-    """
-    m, n = k_exp_p, k_exp_x
-    for j in range(min(m, n) + 1):
-        coef = math.comb(m, j) * math.comb(n, j) * math.factorial(j)
-        s = ExactScalar(coef)
-        # (-i)^j
-        for _ in range(j):
-            s = s * ExactScalar(0, -1)
-        yield j, s
-
-
 class OperatorSymbol:
     """Normal-ordered polynomial in {t, x_k, p_k} with matrix coefficients."""
 
@@ -87,9 +66,6 @@ class OperatorSymbol:
             self.terms.pop(mono, None)
         else:
             self.terms[mono] = new
-
-    def coeff(self, mono: Monomial) -> ExactMatrix:
-        return self.terms.get(mono, ExactMatrix.zero(self.dim))
 
     def copy(self) -> "OperatorSymbol":
         s = OperatorSymbol(self.d, self.dim)
@@ -125,33 +101,6 @@ class OperatorSymbol:
             s._add_term(mono, matmul(m, mat))
         return s
 
-    def __mul__(self, other: "OperatorSymbol") -> "OperatorSymbol":
-        """Symbol product with canonical reordering of p past x."""
-        self._check(other)
-        d = self.d
-        out = OperatorSymbol(d, self.dim)
-        for (t1, x1, p1), m1 in self.terms.items():
-            for (t2, x2, p2), m2 in other.terms.items():
-                mat = matmul(m1, m2)
-                # reorder p1 (left factor) past x2 (right factor)
-                per_var = [
-                    list(_mul_vars(p1[k], x2[k])) for k in range(d)
-                ]
-                for choice in itertools.product(*per_var):
-                    s = ONE
-                    xe, pe = [], []
-                    for k, (j, coef) in enumerate(choice):
-                        s = s * coef
-                        xe.append(x1[k] + x2[k] - j)
-                        pe.append(p1[k] + p2[k] - j)
-                    out._add_term(
-                        (t1 + t2, tuple(xe), tuple(pe)), mat.scale(s)
-                    )
-        return out
-
-    def commutator(self, other: "OperatorSymbol") -> "OperatorSymbol":
-        return self * other - other * self
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -163,12 +112,6 @@ class OperatorSymbol:
             and self.dim == other.dim
             and self.terms == other.terms
         )
-
-    def max_var_degree(self) -> int:
-        deg = 0
-        for t, x, p in self.terms:
-            deg = max(deg, t, *x, *p) if self.d else max(deg, t)
-        return deg
 
     def _check(self, other: "OperatorSymbol") -> None:
         if self.d != other.d or self.dim != other.dim:
@@ -282,11 +225,6 @@ def symbol(model: DiracModel, gen: dict) -> OperatorSymbol:
     return OperatorSymbol(
         model.d, n, {mono: pauli.encode(*s, n) for mono, s in gen.items()}
     )
-
-
-def hamiltonian(model: DiracModel) -> OperatorSymbol:
-    """H = sum_k alpha_k p_k + branch * mass * beta as a symbol."""
-    return symbol(model, generator(model, "P0"))
 
 
 def _times(k: ExactScalar, s: tuple) -> tuple:

@@ -15,8 +15,11 @@ where the engine takes its first solution string.
 ``diracsym.spectra.dispersion_check``: it builds H(p) from the dense
 gammas by matrix products and compares H(p) @ H(p) with omega2 * I
 entry by entry, where the engine multiplies Pauli strings.
+``mul`` multiplies operator symbols in the canonical x-p algebra,
+reordering with [x_k, p_l] = i*delta_kl; ``commutator``, ``coeff``,
+``max_var_degree`` and ``hamiltonian`` build on it, and
 ``square_of_hamiltonian`` and ``dispersion_scalar`` square the symbol of
-H in the canonical x-p algebra and read off the scalar symbol of H^2.
+H and read off the scalar symbol of H^2.
 
 ``reference_string_rows`` is the engine's row builder as it stood
 before rows were decided by integer signs: one row per (generator,
@@ -26,11 +29,12 @@ and orbital inconsistencies.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from diracsym import pauli
-from diracsym.exact import ExactMatrix, ExactScalar, ZERO, _Rref, nullspace_from_rref
-from diracsym.models import DiracModel, OperatorSymbol, hamiltonian, symbol
+from diracsym.exact import ONE, ExactMatrix, ExactScalar, ZERO, _Rref, matmul, nullspace_from_rref
+from diracsym.models import DiracModel, OperatorSymbol, generator, symbol
 from diracsym.symmetry import (
     SymmetryCandidate,
     TauSolution,
@@ -39,6 +43,67 @@ from diracsym.symmetry import (
     clifford2_span,
     transform,
 )
+
+
+def t_monomial(d: int):
+    return (1, (0,) * d, (0,) * d)
+
+
+def _mul_vars(k_exp_p: int, k_exp_x: int):
+    """Expansion of p^m x^n in normal order for one canonical pair.
+
+    Yields (j, scalar) with the reordered term x^(n-j) p^(m-j) carrying
+    scalar = C(m,j) C(n,j) j! (-i)^j.
+    """
+    m, n = k_exp_p, k_exp_x
+    for j in range(min(m, n) + 1):
+        coef = math.comb(m, j) * math.comb(n, j) * math.factorial(j)
+        s = ExactScalar(coef)
+        # (-i)^j
+        for _ in range(j):
+            s = s * ExactScalar(0, -1)
+        yield j, s
+
+
+def mul(a: OperatorSymbol, b: OperatorSymbol) -> OperatorSymbol:
+    """Symbol product a*b with canonical reordering of p past x."""
+    a._check(b)
+    d = a.d
+    out = OperatorSymbol(d, a.dim)
+    for (t1, x1, p1), m1 in a.terms.items():
+        for (t2, x2, p2), m2 in b.terms.items():
+            mat = matmul(m1, m2)
+            # reorder p1 (left factor) past x2 (right factor)
+            per_var = [list(_mul_vars(p1[k], x2[k])) for k in range(d)]
+            for choice in itertools.product(*per_var):
+                s = ONE
+                xe, pe = [], []
+                for k, (j, coef) in enumerate(choice):
+                    s = s * coef
+                    xe.append(x1[k] + x2[k] - j)
+                    pe.append(p1[k] + p2[k] - j)
+                out._add_term((t1 + t2, tuple(xe), tuple(pe)), mat.scale(s))
+    return out
+
+
+def commutator(a: OperatorSymbol, b: OperatorSymbol) -> OperatorSymbol:
+    return mul(a, b) - mul(b, a)
+
+
+def coeff(sym: OperatorSymbol, mono) -> ExactMatrix:
+    return sym.terms.get(mono, ExactMatrix.zero(sym.dim))
+
+
+def max_var_degree(sym: OperatorSymbol) -> int:
+    deg = 0
+    for t, x, p in sym.terms:
+        deg = max(deg, t, *x, *p) if sym.d else max(deg, t)
+    return deg
+
+
+def hamiltonian(model: DiracModel) -> OperatorSymbol:
+    """H = sum_k alpha_k p_k + branch * mass * beta as a symbol."""
+    return symbol(model, generator(model, "P0"))
 
 
 def _sparse_cols(m: ExactMatrix):
@@ -71,8 +136,8 @@ def _constraint_pairs(model: DiracModel, cand: SymmetryCandidate, include_j: boo
         tg = transform(g, cand)
         monos = sorted(set(g.terms) | set(tg.terms))
         for mono in monos:
-            a = tg.coeff(mono)
-            b = g.coeff(mono)
+            a = coeff(tg, mono)
+            b = coeff(g, mono)
             if a.is_zero() and b.is_zero():
                 continue
             sa = a.scalar_multiple_of_identity()
@@ -260,7 +325,7 @@ def dense_dispersion_check(model: DiracModel, p) -> dict:
 def square_of_hamiltonian(model: DiracModel) -> OperatorSymbol:
     """H*H as a symbol; collapses to (sum_k p_k^2 + mass^2) * I."""
     h = hamiltonian(model)
-    return h * h
+    return mul(h, h)
 
 
 def dispersion_scalar(model: DiracModel) -> OperatorSymbol | None:

@@ -1,7 +1,11 @@
 """Certificate assembly, hashing, and reproducibility."""
 
 import json
+import pathlib
 from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracsym import model_for, solve_tau, system_for, verify_certificate
 from diracsym.certificate import (
@@ -12,6 +16,7 @@ from diracsym.certificate import (
     frac_json,
     gamma_json,
     make_certificate,
+    pretty_dumps,
     tau_solution_json,
 )
 from diracsym.symmetry import TW, classify
@@ -85,3 +90,40 @@ def test_tau_solution_json_fields():
     assert blob["candidate"]["antilinear"] is True
     assert blob["invertible_representative"] is not None
     assert blob["square_phase"] is not None
+
+
+# quotes, backslashes, control characters, non-ASCII, astral and lone
+# surrogate code points, next to any code point hypothesis draws
+_TRICKY = '"\\/\x00\x07\x1f\x7f\n\té\u2028\uffff\U0001f600\ud800\udfff'
+_TEXT = st.text(st.sampled_from(_TRICKY) | st.characters(exclude_categories=()), max_size=6)
+_LEAVES = (
+    _TEXT
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_TEXT, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+@example(([],))
+@example({"a": (), "b": {}, "": [[]]})
+@example(["a", ("b",), 10**100, -0.0])
+def test_pretty_dumps_is_json_indent_2_sorted(obj):
+    assert pretty_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_pretty_dumps_writes_the_golden_bytes():
+    for d in (2, 4, 6, 8):
+        text = (pathlib.Path(__file__).parent / "golden" / f"classify_d{d}.json").read_text()
+        assert pretty_dumps(json.loads(text)) + "\n" == text, d

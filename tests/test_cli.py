@@ -167,9 +167,12 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert "top-level JSON is not an object" in err and "Traceback" not in err
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000)
-    assert run(["report", str(deep)]) == 1
-    err = capsys.readouterr().err
-    assert f"{deep}: unreadable certificate: " in err and "Traceback" not in err
+    not_utf8 = tmp_path / "bytes.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    for bad in (deep, not_utf8):
+        assert run(["report", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: unreadable certificate: " in err and "Traceback" not in err
     for flags in (5, None, "ab", []):
         # hash-valid, so only the type of the flags is wrong
         body = make_certificate("gamma", {"d": 2}, {}, set())
@@ -211,6 +214,60 @@ def test_rational_options_keep_certificate_bytes(tmp_path):
         cert = load(out)
         assert verify_certificate(cert)
         assert {k: cert["input"][k] for k in want} == want
+
+
+def test_massless_solve_tau_records_mass_0(tmp_path, capsys):
+    base = ["solve-tau", "--dim", "4", "--variant", "massless", "--symmetry", "P"]
+    given, zero = tmp_path / "given.json", tmp_path / "zero.json"
+    assert run([*base, "--out", str(given)]) == 0
+    assert run([*base, "--mass", "0", "--out", str(zero)]) == 0
+    assert given.read_bytes() == zero.read_bytes()
+    assert load(given)["input"]["mass"] == ["0", "1"]
+    capsys.readouterr()
+    refused = tmp_path / "refused.json"
+    assert run([*base, "--mass", "3", "--out", str(refused)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --variant massless is solved at mass 0, not 3\n"
+    assert not refused.exists()
+    single = tmp_path / "single.json"
+    assert run(["solve-tau", "--dim", "4", "--symmetry", "P", "--out", str(single)]) == 0
+    assert load(single)["input"]["mass"] == ["1", "1"]
+
+
+def test_main_called_repeatedly_keeps_no_state(tmp_path, capsys):
+    # one parser serves every call, and no claim leaks into the next call
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    golden = Path(__file__).parent / "golden" / "classify_d4.json"
+    passes = []
+    for n in (1, 2):
+        out = tmp_path / str(n)
+        out.mkdir()
+        names = ["g", "s", "ce", "c", "sp", "l"]
+        files = {name: str(out / f"{name}.json") for name in names}
+        assert run(["gamma", "--dim", "4", "--out", files["g"]]) == 0
+        assert run(
+            ["solve-tau", "--dim", "4", "--variant", "doubled", "--symmetry", "Tw",
+             "--out", files["s"]]
+        ) == 0
+        assert run(
+            ["classify", "--dims", "4", "--expect", "Tw:yes", "--expect", "C:no",
+             "--out", files["ce"]]
+        ) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--dims", "4", "--expect", "Tw:no", "--expect", "Tw:yes"])
+        assert exc.value.code == 1
+        assert run(["classify", "--dims", "4", "--out", files["c"]]) == 0
+        assert run(
+            ["spectrum", "--dim", "4", "--mass", "3", "--p", "0,0,0,4", "--out", files["sp"]]
+        ) == 0
+        assert run(["labels", "--variant", "doubled", "--out", files["l"]]) == 0
+        assert run(["report", *files.values()]) == 0
+        assert load(files["ce"])["input"]["expect"] == {"C": "no", "Tw": "yes"}
+        assert Path(files["c"]).read_bytes() == golden.read_bytes()
+        passes.append({name: Path(path).read_bytes() for name, path in files.items()})
+    assert passes[0] == passes[1]
+    capsys.readouterr()
 
 
 def test_failed_internal_check_exits_2(monkeypatch, capsys):
