@@ -156,11 +156,6 @@ class DiracModel:
             z |= self.gamma.rep_dim
         return c, x, z
 
-    @cached_property
-    def alphas(self) -> list[ExactMatrix]:
-        """The dense alpha matrices, built once per model."""
-        return [pauli.encode(*s, self.dim) for s in self.gamma.alpha]
-
     @property
     def beta(self) -> ExactMatrix:
         return pauli.encode(*self.beta_string, self.dim)

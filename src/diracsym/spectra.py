@@ -2,10 +2,10 @@
 
 Everything about eigenvalues is phrased through exact identities on H^2
 and traces, so irrational square roots never appear in exact mode.
-The dispersion certificate is decided on the Pauli strings of H(p)
-(``pauli``) and builds no dense matrix; the d=4 little-group labels build
-their Casimirs as string sums and then take dense exact nullspaces, and
-the d=4 fiber check squares a dense H.  Floating point is quarantined to
+The dispersion certificate and the d=4 little-group labels are decided
+on sums of Pauli strings (``pauli``), the labels by the traces of exact
+spectral projectors, and build no dense matrix; only the d=4 fiber check
+squares a dense H.  Floating point is quarantined to
 the density-matrix evolution, and so is numpy: ``DensityState``,
 ``_float_matrix`` and ``evolution_operator`` import it on first use, so
 importing this module, and every exact check in it, loads no numerical
@@ -15,11 +15,12 @@ library.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import pauli
-from .exact import ZERO, ExactMatrix, ExactScalar, nullspace, parse_rational
+from .exact import ONE, ZERO, ExactMatrix, ExactScalar, parse_rational
 from .models import DiracModel, model_for
 
 HERMITICITY_TOL = 1e-12
@@ -66,10 +67,10 @@ class RepLabel:
         return int((2 * self.j1 + 1) * (2 * self.j2 + 1))
 
 
-def _casimirs(model: DiracModel) -> tuple[ExactMatrix, ExactMatrix]:
+def _casimirs(model: DiracModel) -> tuple[list, list]:
     """The Casimirs A^2 = sum_i A_i^2 and B^2 = sum_i B_i^2 of the two
-    commuting angular-momentum triples on a d=4 model, each built from
-    string products and encoded once.
+    commuting angular-momentum triples on a d=4 model, each a list of
+    distinct strings.
 
     A_i = (rot_i - S_i4) / 2 and B_i = (rot_i + S_i4) / 2 where rot_i is
     the spatial-rotation generator S_jk with (i, j, k) cyclic and
@@ -79,50 +80,63 @@ def _casimirs(model: DiracModel) -> tuple[ExactMatrix, ExactMatrix]:
     """
     al = model.gamma.alpha
 
-    def spin(k, l, sign=1):
-        # sign * S_kl as one string
-        half_i = ExactScalar(0, Fraction(sign, 2))
-        return pauli.mul((half_i, 0, 0), pauli.mul(al[l - 1], al[k - 1]))
+    def half_spin(k, l, sign=1):
+        # sign * S_kl / 2 as one string
+        quarter_i = ExactScalar(0, Fraction(sign, 4))
+        return pauli.mul((quarter_i, 0, 0), pauli.mul(al[l - 1], al[k - 1]))
 
-    quarter = ExactScalar(Fraction(1, 4))
     casimirs = []
     for sign in (-1, 1):
         terms = []
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            twice = [spin(j, k), spin(i, 4, sign)]  # 2*A_i, then 2*B_i
-            square = pauli.mul_sums(twice, twice)
-            terms += [(c * quarter, x, z) for (x, z), c in square.items()]
-        casimirs.append(pauli.encode_sum(terms, model.dim))
+            a_i = [half_spin(j, k), half_spin(i, 4, sign)]  # A_i, then B_i
+            terms += _times(a_i, a_i)
+        casimirs.append(_times(terms, _IDENTITY))  # like strings added
     return casimirs[0], casimirs[1]
 
 
 _J_CANDIDATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+_IDENTITY = [(ONE, 0, 0)]
 
 
-def _shifted_rows(casimir: ExactMatrix) -> list:
-    """Rows of casimir - j(j+1)*I for each candidate j."""
-    ident = ExactMatrix.identity(casimir.dim)
-    return [
-        (casimir - ident.scale(ExactScalar(j * (j + 1)))).rows
-        for j in _J_CANDIDATES
-    ]
+def _times(a, b) -> list:
+    """The product of two sums of strings as a list of distinct strings."""
+    return [(c, x, z) for (x, z), c in pauli.mul_sums(a, b).items()]
 
 
-def _live_candidates(proj_rows, shifted, n: int) -> list:
-    """(j, rows) for the candidates j with a nonzero eigenspace on the
-    subspace cut out by proj_rows."""
-    return [
-        (j, rows)
-        for j, rows in zip(_J_CANDIDATES, shifted)
-        if nullspace([*proj_rows, *rows], n)
-    ]
+def _projectors(op: list, values: list) -> list[list]:
+    """The spectral projectors of a sum of strings onto each of the
+    distinct rationals in values.  prod_k (op - v_k) == 0 certifies that
+    op is diagonalizable with its spectrum among the values (otherwise
+    ArithmeticError); then L_j = prod_{k != j} (op - v_k) / (v_j - v_k),
+    from prefix and suffix products, projects onto the v_j eigenspace,
+    and is empty exactly when v_j is not an eigenvalue.
+    """
+    factors = [[*op, (ExactScalar(-v), 0, 0)] for v in values]
+    prefix = [_IDENTITY]
+    for f in factors:
+        prefix.append(_times(prefix[-1], f))
+    if prefix.pop():
+        raise ArithmeticError("an operator has an eigenvalue off its candidates")
+    suffix = [_IDENTITY]
+    for f in reversed(factors[1:]):
+        suffix.insert(0, _times(f, suffix[0]))
+    out = []
+    for v, before, after in zip(values, prefix, suffix):
+        scale = ExactScalar(1 / math.prod(v - w for w in values if w != v))
+        out.append([(c * scale, x, z) for c, x, z in _times(before, after)])
+    return out
 
 
 def little_group_labels(model: DiracModel) -> list[RepLabel]:
     """Rest-frame little-group content of a massive d=4 model.
 
-    Decomposes each energy eigenspace of H(0) into joint eigenspaces of
-    the two exact Casimir matrices and reads off (j1, j2).
+    The Casimirs A^2, B^2 and the energy sign branch*beta = H(0)/mass
+    stay sums of Pauli strings; no dense matrix is built.  Once they are
+    certified to commute pairwise and each to be diagonalizable with its
+    spectrum among the candidates, the product of their spectral
+    projectors projects onto the joint eigenspace of (s, j1, j2), whose
+    dimension is its trace: n times its identity coefficient.
     """
     if model.d != 4:
         raise ValueError("little-group labels are computed for d == 4")
@@ -130,38 +144,29 @@ def little_group_labels(model: DiracModel) -> list[RepLabel]:
         raise ValueError("massless little group is out of scope")
     a2, b2 = _casimirs(model)
     n = model.dim
-    # H(0)/mass = branch*beta squares to I, so the kernel of
-    # branch*beta - s*I is the eigenspace of energy sign s
-    c, x, z = model.beta_string
-    branch_beta = (c * ExactScalar(model.branch), x, z)
-    a_shifted, b_shifted = _shifted_rows(a2), _shifted_rows(b2)
+    branch_beta = [pauli.mul((ExactScalar(model.branch), 0, 0), model.beta_string)]
+    for u, v in ((a2, b2), (a2, branch_beta), (b2, branch_beta)):
+        if pauli.mul_sums(u, v) != pauli.mul_sums(v, u):
+            raise ArithmeticError("the Casimirs and the energy sign do not commute")
+    energy = _projectors(branch_beta, [Fraction(1), Fraction(-1)])
+    js = [j * (j + 1) for j in _J_CANDIDATES]
+    live_a, live_b = (
+        [(j, p) for j, p in zip(_J_CANDIDATES, _projectors(cas, js)) if p]
+        for cas in (a2, b2)
+    )
     labels = []
-    for sign in (1, -1):
-        proj_rows = pauli.encode_sum([branch_beta, (ExactScalar(-sign), 0, 0)], n).rows
-        # a joint eigenspace lies inside both one-Casimir eigenspaces, so
-        # only the j1 and j2 whose own eigenspace is nonzero are paired
-        live_a = _live_candidates(proj_rows, a_shifted, n)
-        live_b = _live_candidates(proj_rows, b_shifted, n)
-        for j1, a_rows in live_a:
-            for j2, b_rows in live_b:
-                vecs = nullspace([*proj_rows, *a_rows, *b_rows], n)
-                if not vecs:
+    for sign, p_s in zip((1, -1), energy):
+        for j1, p_a in live_a:
+            p_sa = _times(p_s, p_a)
+            for j2, p_b in live_b:
+                dim = ExactScalar(n) * pauli.mul_sums(p_sa, p_b).get((0, 0), ZERO)
+                if not dim:
                     continue
                 block = int((2 * j1 + 1) * (2 * j2 + 1))
-                if len(vecs) % block:
-                    raise ArithmeticError(
-                        "joint eigenspace is not a whole number of blocks"
-                    )
-                labels.append(
-                    RepLabel(
-                        energy_sign=sign,
-                        j1=j1,
-                        j2=j2,
-                        multiplicity=len(vecs) // block,
-                    )
-                )
-    total = sum(l.multiplicity * l.block_dim() for l in labels)
-    if total != n:
+                if dim.im or dim.re % block:
+                    raise ArithmeticError("eigenspace is not a whole number of blocks")
+                labels.append(RepLabel(sign, j1, j2, int(dim.re) // block))
+    if sum(l.multiplicity * l.block_dim() for l in labels) != n:
         raise ArithmeticError("label multiplicities do not sum to rep_dim")
     return labels
 

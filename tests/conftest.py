@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diracsym import ExactMatrix, ExactScalar
+from diracsym import ExactMatrix, ExactScalar, pauli
 
 
 def first_nonzero(m: ExactMatrix):
@@ -13,6 +13,11 @@ def first_nonzero(m: ExactMatrix):
             if v:
                 return v
     return None
+
+
+def dense_alphas(model) -> list:
+    """The dense alpha matrices of a model, encoded from its alpha strings."""
+    return [pauli.encode(*s, model.dim) for s in model.gamma.alpha]
 
 
 def proj_equal(a: ExactMatrix, b: ExactMatrix) -> bool:

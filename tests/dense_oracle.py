@@ -11,6 +11,11 @@ two check each other.  The oracle has no strings, so it finds its
 invertible representative by a determinant scan (``invertible_element``)
 where the engine takes its first solution string.
 
+``dense_little_group_labels`` is the labels' former dense path: it
+encodes the engine's two Casimir string sums as dense matrices and
+takes exact joint nullspaces with the energy eigenspaces, where the
+engine reads traces of spectral projectors built from strings.
+
 ``dense_dispersion_check`` is the dense form of
 ``diracsym.spectra.dispersion_check``: it builds H(p) from the dense
 gammas by matrix products and compares H(p) @ H(p) with omega2 * I
@@ -33,8 +38,11 @@ import math
 from fractions import Fraction
 
 from diracsym import pauli
-from diracsym.exact import ONE, ExactMatrix, ExactScalar, ZERO, _Rref, matmul, nullspace_from_rref
+from diracsym.exact import (
+    ONE, ExactMatrix, ExactScalar, ZERO, _Rref, matmul, nullspace, nullspace_from_rref,
+)
 from diracsym.models import DiracModel, OperatorSymbol, generator, symbol
+from diracsym.spectra import RepLabel, _casimirs
 from diracsym.symmetry import (
     SymmetryCandidate,
     TauSolution,
@@ -320,6 +328,77 @@ def dense_dispersion_check(model: DiracModel, p) -> dict:
         "trace_zero": trace_zero,
         "ok": square_ok and trace_zero,
     }
+
+
+_J_CANDIDATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+
+def _dense_casimirs(model: DiracModel) -> tuple[ExactMatrix, ExactMatrix]:
+    """The engine's Casimir string sums, encoded once as dense matrices."""
+    a2, b2 = _casimirs(model)
+    return pauli.encode_sum(a2, model.dim), pauli.encode_sum(b2, model.dim)
+
+
+def _shifted_rows(casimir: ExactMatrix) -> list:
+    """Rows of casimir - j(j+1)*I for each candidate j."""
+    ident = ExactMatrix.identity(casimir.dim)
+    return [
+        (casimir - ident.scale(ExactScalar(j * (j + 1)))).rows
+        for j in _J_CANDIDATES
+    ]
+
+
+def _live_candidates(proj_rows, shifted, n: int) -> list:
+    """(j, rows) for the candidates j with a nonzero eigenspace on the
+    subspace cut out by proj_rows."""
+    return [
+        (j, rows)
+        for j, rows in zip(_J_CANDIDATES, shifted)
+        if nullspace([*proj_rows, *rows], n)
+    ]
+
+
+def dense_little_group_labels(model: DiracModel) -> list[RepLabel]:
+    """Rest-frame little-group labels from dense exact nullspaces.
+
+    Decomposes each energy eigenspace of H(0) into joint eigenspaces of
+    the two dense Casimir matrices and reads off (j1, j2) and the
+    multiplicity from the nullity, in the order of
+    ``diracsym.spectra.little_group_labels``.
+    """
+    if model.d != 4:
+        raise ValueError("little-group labels are computed for d == 4")
+    if model.mass == 0:
+        raise ValueError("massless little group is out of scope")
+    a2, b2 = _dense_casimirs(model)
+    n = model.dim
+    # H(0)/mass = branch*beta squares to I, so the kernel of
+    # branch*beta - s*I is the eigenspace of energy sign s
+    c, x, z = model.beta_string
+    branch_beta = (c * ExactScalar(model.branch), x, z)
+    a_shifted, b_shifted = _shifted_rows(a2), _shifted_rows(b2)
+    labels = []
+    for sign in (1, -1):
+        proj_rows = pauli.encode_sum([branch_beta, (ExactScalar(-sign), 0, 0)], n).rows
+        # a joint eigenspace lies inside both one-Casimir eigenspaces, so
+        # only the j1 and j2 whose own eigenspace is nonzero are paired
+        live_a = _live_candidates(proj_rows, a_shifted, n)
+        live_b = _live_candidates(proj_rows, b_shifted, n)
+        for j1, a_rows in live_a:
+            for j2, b_rows in live_b:
+                vecs = nullspace([*proj_rows, *a_rows, *b_rows], n)
+                if not vecs:
+                    continue
+                block = int((2 * j1 + 1) * (2 * j2 + 1))
+                if len(vecs) % block:
+                    raise ArithmeticError(
+                        "joint eigenspace is not a whole number of blocks"
+                    )
+                labels.append(RepLabel(sign, j1, j2, len(vecs) // block))
+    total = sum(l.multiplicity * l.block_dim() for l in labels)
+    if total != n:
+        raise ArithmeticError("label multiplicities do not sum to rep_dim")
+    return labels
 
 
 def square_of_hamiltonian(model: DiracModel) -> OperatorSymbol:

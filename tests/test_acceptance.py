@@ -34,7 +34,7 @@ from diracsym import (
 from diracsym.certificate import FLAGS, flags_for
 from diracsym.symmetry import C, PARITY, PTC, TP, TW
 
-from conftest import block_antidiag, block_diag, proj_equal
+from conftest import block_antidiag, block_diag, dense_alphas, proj_equal
 from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
 BUILTIN_NAMES = ("P", "Tp", "Tw", "C")
@@ -42,8 +42,9 @@ BUILTIN_NAMES = ("P", "Tp", "Tw", "C")
 
 def _alpha_prod(model, *ks):
     m = ExactMatrix.identity(model.dim)
+    alphas = dense_alphas(model)
     for k in ks:
-        m = m @ model.alphas[k - 1]
+        m = m @ alphas[k - 1]
     return m
 
 

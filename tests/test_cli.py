@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import diracsym
 from diracsym import ExactMatrix, make_certificate, model_for, verify_certificate
 from diracsym.certificate import content_hash
-from diracsym import cli
+from diracsym import cli, spectra
 from diracsym.cli import main
 
 from conftest import proj_equal
@@ -277,6 +278,16 @@ def test_failed_internal_check_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "little_group_labels", failing)
     assert run(["labels", "--dim", "4"]) == 2
     assert "rep_dim" in capsys.readouterr().err
+
+
+def test_labels_off_the_candidates_exit_2(monkeypatch, capsys):
+    kept = [j for j in spectra._J_CANDIDATES if j != Fraction(1, 2)]
+    monkeypatch.setattr(spectra, "_J_CANDIDATES", kept)
+    assert run(["labels", "--dim", "4", "--variant", "doubled"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal check failed: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_stdout_json_when_no_out(capsys):

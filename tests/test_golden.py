@@ -37,6 +37,16 @@ def test_golden_regeneration_is_byte_identical(tmp_path):
     assert time.monotonic() - t0 < 60.0
 
 
+@pytest.mark.parametrize("variant", ["single", "single-", "doubled"])
+def test_golden_labels_are_byte_identical(tmp_path, variant):
+    out = tmp_path / f"labels_{variant}.json"
+    code = main(["labels", "--variant", variant, "--mass", "7/3", "--out", str(out)])
+    assert code == 0
+    golden = GOLDEN / f"labels_{variant}.json"
+    assert out.read_bytes() == golden.read_bytes()
+    assert verify_certificate(json.loads(golden.read_text()))
+
+
 def test_golden_rows_record_expected_pattern():
     rows = {}
     for d in DIMS:

@@ -12,7 +12,7 @@ from diracsym.exact import I_UNIT
 from diracsym.models import p_monomial, unit_monomial, x_monomial
 from diracsym.symmetry import VARIANTS, model_for_variant
 
-from conftest import block_diag
+from conftest import block_diag, dense_alphas
 from dense_oracle import (
     coeff,
     commutator,
@@ -79,7 +79,7 @@ class TestHamiltonianAndGenerators:
         p = [Fraction(1), Fraction(0), Fraction(-2), Fraction(5)]
         h = m.hamiltonian_matrix(p)
         want = ExactMatrix.zero(m.dim)
-        for pk, ak in zip(p, m.alphas):
+        for pk, ak in zip(p, dense_alphas(m)):
             want = want + ak.scale(ExactScalar(pk))
         want = want + m.beta.scale(ExactScalar(3))
         assert h == want
@@ -184,7 +184,7 @@ class TestDoubledModel:
         dbl = model_for(4, mass=1, doubled=True)
         n = single.dim
         assert dbl.dim == 2 * n
-        for a_s, a_d in zip(single.alphas, dbl.alphas):
+        for a_s, a_d in zip(dense_alphas(single), dense_alphas(dbl)):
             for i in range(n):
                 for j in range(n):
                     assert a_d[i, j] == a_s[i, j]
@@ -215,19 +215,14 @@ class TestDoubledModel:
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
-def test_alphas_built_once_per_model(d):
+def test_alpha_strings_encode_kron_alphas(d):
     single = model_for(d, mass=1)
     g = kron_gammas(d)
     reference = [g[0] @ gk for gk in g[1:]]
-    assert single.alphas == reference
-    assert single.alphas is single.alphas
+    assert dense_alphas(single) == reference
     dbl = doubled(single)
-    assert dbl.alphas == [block_diag(a, a) for a in reference]
-    assert dbl.alphas is dbl.alphas
-    other = replace(single, mass=Fraction(3))
-    assert other.alphas == single.alphas
-    assert other.alphas is not single.alphas
-    assert doubled(single).alphas is not dbl.alphas
+    assert dense_alphas(dbl) == [block_diag(a, a) for a in reference]
+    assert dense_alphas(replace(single, mass=Fraction(3))) == reference
 
 
 def test_negative_mass_rejected():

@@ -1,6 +1,7 @@
 """Dispersion certificates, little-group labels, fibers, and evolution."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +22,19 @@ from diracsym import (
     profile_apply_P2,
     sqrt_dirac_fiber,
 )
-from diracsym import exact, pauli
+from diracsym import exact, pauli, spectra
 from diracsym.clifford import GammaSystem, system_for
 from diracsym.exact import ExactMatrix, ExactScalar
 from diracsym.models import DiracModel
+from diracsym.symmetry import model_for_variant
 
-from dense_oracle import dense_dispersion_check, dense_hamiltonian
+from dense_oracle import (
+    dense_dispersion_check,
+    dense_hamiltonian,
+    dense_little_group_labels,
+)
+
+_LABEL_VARIANTS = ("single", "single-", "doubled")
 
 
 class TestDispersion:
@@ -191,6 +199,55 @@ class TestLittleGroupLabels:
             little_group_labels(model_for(2, mass=1))
         with pytest.raises(ValueError):
             little_group_labels(model_for(4, mass=0))
+
+
+class TestLabelsAgainstDenseOracle:
+    """The projector-trace labels against exact dense joint nullspaces."""
+
+    @pytest.mark.parametrize("branch", [1, -1])
+    @pytest.mark.parametrize("variant", _LABEL_VARIANTS)
+    def test_variants_match(self, variant, branch):
+        model = replace(model_for_variant(4, variant, Fraction(7, 3)), branch=branch)
+        assert little_group_labels(model) == dense_little_group_labels(model)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+        st.sampled_from([1, -1]),
+        st.booleans(),
+    )
+    def test_positive_rational_masses_match(self, mass, branch, doubled):
+        model = model_for(4, mass=mass, branch=branch, doubled=doubled)
+        assert little_group_labels(model) == dense_little_group_labels(model)
+
+    def test_missing_candidate_raises(self, monkeypatch):
+        kept = [j for j in spectra._J_CANDIDATES if j != Fraction(1, 2)]
+        monkeypatch.setattr(spectra, "_J_CANDIDATES", kept)
+        for doubled in (False, True):
+            with pytest.raises(ArithmeticError, match="eigenvalue off"):
+                little_group_labels(model_for(4, mass=2, doubled=doubled))
+
+    def test_noncommuting_casimirs_raise(self, monkeypatch):
+        model = model_for(4, mass=2)
+        a2, _ = spectra._casimirs(model)
+        # X on the low qubit anticommutes with the Z string of A^2
+        monkeypatch.setattr(spectra, "_casimirs", lambda m: (a2, [(exact.ONE, 1, 0)]))
+        with pytest.raises(ArithmeticError, match="do not commute"):
+            little_group_labels(model)
+
+    def test_no_dense_matrix(self, monkeypatch):
+        models = [model_for_variant(4, v, Fraction(7, 3)) for v in _LABEL_VARIANTS]
+        want = [dense_little_group_labels(m) for m in models]
+
+        def never(*args, **kwargs):
+            raise AssertionError("little_group_labels used the dense path")
+
+        monkeypatch.setattr(pauli, "encode_sum", never)
+        monkeypatch.setattr(pauli, "encode", never)
+        monkeypatch.setattr(exact, "nullspace", never)
+        monkeypatch.setattr(ExactMatrix, "_make", never)
+        monkeypatch.setattr(ExactMatrix, "__init__", never)
+        assert [little_group_labels(m) for m in models] == want
 
 
 class TestFibers:

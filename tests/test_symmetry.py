@@ -34,7 +34,7 @@ from diracsym.symmetry import (
     clifford2_span,
 )
 
-from conftest import block_antidiag, block_diag, proj_equal
+from conftest import block_antidiag, block_diag, dense_alphas, proj_equal
 from dense_oracle import _constraint_pairs, invertible_element
 from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
@@ -69,8 +69,9 @@ def _dumps(mats):
 
 def _alpha_prod(model, *ks):
     m = ExactMatrix.identity(model.dim)
+    alphas = dense_alphas(model)
     for k in ks:
-        m = m @ model.alphas[k - 1]
+        m = m @ alphas[k - 1]
     return m
 
 
