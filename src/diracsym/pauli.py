@@ -11,7 +11,10 @@ and commute up to the symplectic form
     S*P = (-1)^<S,P> * P*S,   <S,P> = |x_S & z_P| + |z_S & x_P|  (mod 2),
 
 so linear conditions of the form S*A = r*A*S on one string S are affine
-equations over GF(2) in the bits of (x_S, z_S).
+equations over GF(2) in the bits of (x_S, z_S).  The same rule squares a
+sum of strings (``square_sum``): S*P + P*S is 2*S*P when <S,P> is even
+and 0 when it is odd, so an anticommuting pair costs a parity test on
+integer masks and no product.
 """
 
 from __future__ import annotations
@@ -84,6 +87,28 @@ def mul_sums(a, b) -> dict:
             c, x, z = mul(s, t)
             key = x, z
             out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def square_sum(terms) -> dict:
+    """(sum terms)^2 as ``mul_sums(terms, terms)`` returns it, {(x, z): c}
+    with the exact zeros dropped.  Each term adds its square and each pair
+    S, P adds S*P + P*S: 2*S*P when <S,P> is even, nothing when it is odd.
+    This holds for any list, repeated strings included, so a sum of k
+    pairwise anticommuting strings costs k products and k(k-1)/2 parity
+    tests."""
+    terms = list(terms)
+    out = {}
+    for i, s in enumerate(terms):
+        c, x, z = mul(s, s)
+        out[x, z] = out[x, z] + c if (x, z) in out else c
+        _, xs, zs = s
+        for t in terms[i + 1 :]:
+            if parity((xs & t[2]) ^ (zs & t[1])):
+                continue
+            c, x, z = mul(s, t)
+            c = c + c
+            out[x, z] = out[x, z] + c if (x, z) in out else c
     return {key: c for key, c in out.items() if c}
 
 

@@ -6,10 +6,11 @@ The dispersion certificate and the d=4 little-group labels are decided
 on sums of Pauli strings (``pauli``), the labels by the traces of exact
 spectral projectors, and build no dense matrix; only the d=4 fiber check
 squares a dense H.  Floating point is quarantined to
-the density-matrix evolution, and so is numpy: ``DensityState``,
-``_float_matrix`` and ``evolution_operator`` import it on first use, so
-importing this module, and every exact check in it, loads no numerical
-library.
+the density-matrix evolution, and so is numpy: ``DensityState`` and
+``evolution_operator`` import it on first use, so importing this module,
+and every exact check in it, loads no numerical library.  The evolution
+writes its float H(p) straight from the Pauli strings of H(p), n entries
+per string, with no exact dense matrix in between.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ def dispersion_check(model: DiracModel, p) -> dict:
 
     Together with trace H(p) == 0 this pins the eigenvalues to
     +-sqrt(omega2) with equal multiplicities.  Both identities are decided
-    on the d+1 Pauli strings of H(p): H(p)^2 is O(d^2) string products,
-    and it equals omega2 * I exactly when only the identity string is
-    left, with coefficient omega2, because distinct strings are linearly
+    on the d+1 Pauli strings of H(p).  ``pauli.square_sum`` squares them
+    in d+1 string squares plus O(d^2) parity tests: a pair that
+    anticommutes cancels in H(p)^2 without being multiplied.  H(p)^2
+    equals omega2 * I exactly when only the identity string is left, with
+    coefficient omega2, because distinct strings are linearly
     independent.  A string other than the identity has trace 0, so the
     trace vanishes exactly when the identity string's coefficient does.
     """
@@ -41,7 +44,7 @@ def dispersion_check(model: DiracModel, p) -> dict:
     terms = model.hamiltonian_strings(p)
     omega2 = sum((x * x for x in p), Fraction(0)) + model.mass * model.mass
     want = {(0, 0): ExactScalar(omega2)} if omega2 else {}
-    square_ok = pauli.mul_sums(terms, terms) == want
+    square_ok = pauli.square_sum(terms) == want
     trace_zero = not sum((c for c, x, z in terms if not x and not z), ZERO)
     return {
         "d": model.d,
@@ -90,7 +93,7 @@ def _casimirs(model: DiracModel) -> tuple[list, list]:
         terms = []
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             a_i = [half_spin(j, k), half_spin(i, 4, sign)]  # A_i, then B_i
-            terms += _times(a_i, a_i)
+            terms += _terms(pauli.square_sum(a_i))
         casimirs.append(_times(terms, _IDENTITY))  # like strings added
     return casimirs[0], casimirs[1]
 
@@ -99,9 +102,14 @@ _J_CANDIDATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fract
 _IDENTITY = [(ONE, 0, 0)]
 
 
+def _terms(sums: dict) -> list:
+    """A {(x, z): c} sum of strings as a list of distinct strings."""
+    return [(c, x, z) for (x, z), c in sums.items()]
+
+
 def _times(a, b) -> list:
     """The product of two sums of strings as a list of distinct strings."""
-    return [(c, x, z) for (x, z), c in pauli.mul_sums(a, b).items()]
+    return _terms(pauli.mul_sums(a, b))
 
 
 def _projectors(op: list, values: list) -> list[list]:
@@ -292,23 +300,24 @@ class DensityState:
         self.matrix = rho
 
 
-def _float_matrix(m: ExactMatrix) -> np.ndarray:
-    import numpy as np
-
-    return np.array(
-        [[complex(v.re) + 1j * complex(v.im) for v in row] for row in m.rows]
-    )
-
-
 def evolution_operator(model: DiracModel, p, t: float) -> np.ndarray:
-    """exp(-i H(p) t) via the spectral split H^2 = omega^2 I."""
+    """exp(-i H(p) t) via the spectral split H^2 = omega^2 I.
+
+    H(p) is written in floats from its strings: c * X^x Z^z puts
+    c * (-1)^|(r^x)&z| in row r, column r^x."""
     import numpy as np
 
     p = [Fraction(x) for x in p]
-    h = _float_matrix(model.hamiltonian_matrix(p))
+    n = model.dim
+    rows = [[0j] * n for _ in range(n)]
+    for c, x, z in model.hamiltonian_strings(p):
+        v = complex(float(c.re), float(c.im))
+        for r, row in enumerate(rows):
+            col = r ^ x
+            row[col] += -v if pauli.parity(col & z) else v
+    h = np.array(rows)
     omega2 = float(sum((x * x for x in p), Fraction(0)) + model.mass**2)
     omega = np.sqrt(omega2)
-    n = h.shape[0]
     if omega == 0.0:
         return np.eye(n, dtype=complex)
     return np.cos(omega * t) * np.eye(n) - 1j * np.sin(omega * t) / omega * h

@@ -20,6 +20,10 @@ engine reads traces of spectral projectors built from strings.
 ``diracsym.spectra.dispersion_check``: it builds H(p) from the dense
 gammas by matrix products and compares H(p) @ H(p) with omega2 * I
 entry by entry, where the engine multiplies Pauli strings.
+
+``dense_evolution_operator`` is the density evolution's former
+construction: the exact dense H(p) converted entry by entry to floats,
+where the engine writes the float H(p) from its strings.
 ``mul`` multiplies operator symbols in the canonical x-p algebra,
 reordering with [x_k, p_l] = i*delta_kl; ``commutator``, ``coeff``,
 ``max_var_degree`` and ``hamiltonian`` build on it, and
@@ -328,6 +332,25 @@ def dense_dispersion_check(model: DiracModel, p) -> dict:
         "trace_zero": trace_zero,
         "ok": square_ok and trace_zero,
     }
+
+
+def dense_evolution_operator(model: DiracModel, p, t: float):
+    """exp(-i H(p) t) = cos(omega t) I - i sin(omega t) / omega * H(p), with
+    the float H(p) converted from the exact dense ``dense_hamiltonian``."""
+    import numpy as np
+
+    p = [Fraction(x) for x in p]
+    h = np.array(
+        [
+            [complex(v.re) + 1j * complex(v.im) for v in row]
+            for row in dense_hamiltonian(model, p).rows
+        ]
+    )
+    omega = np.sqrt(float(sum((x * x for x in p), Fraction(0)) + model.mass**2))
+    n = h.shape[0]
+    if omega == 0.0:
+        return np.eye(n, dtype=complex)
+    return np.cos(omega * t) * np.eye(n) - 1j * np.sin(omega * t) / omega * h
 
 
 _J_CANDIDATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]

@@ -12,6 +12,7 @@ import pytest
 import diracsym
 from diracsym import ExactMatrix, make_certificate, model_for, verify_certificate
 from diracsym.certificate import content_hash
+from diracsym.clifford import GammaSystem
 from diracsym import cli, spectra
 from diracsym.cli import main
 
@@ -35,6 +36,31 @@ def test_gamma_writes_valid_certificate(tmp_path):
     assert cert["kind"] == "gamma"
     assert cert["results"]["rep_dim"] == 4
     assert all(r["ok"] for r in cert["results"]["relations_check"])
+
+
+def test_gamma_checks_the_relations_once(tmp_path, monkeypatch):
+    # the exit code reads the relation check in the certificate, so the
+    # dense check runs once, and a failed pair in it exits 2
+    real = GammaSystem.check_relations
+    calls = []
+
+    def counting(gs):
+        calls.append(gs.d)
+        return real(gs)
+
+    monkeypatch.setattr(GammaSystem, "check_relations", counting)
+    assert run(["gamma", "--dim", "4", "--out", str(tmp_path / "g.json")]) == 0
+    assert calls == [4]
+
+    def one_failed(gs):
+        report = real(gs)
+        report[-1] = {**report[-1], "ok": False}
+        return report
+
+    monkeypatch.setattr(GammaSystem, "check_relations", one_failed)
+    out = tmp_path / "bad.json"
+    assert run(["gamma", "--dim", "4", "--out", str(out)]) == 2
+    assert not load(out)["results"]["relations_check"][-1]["ok"]
 
 
 def test_solve_tau_massless_tp_representative(tmp_path, capsys):

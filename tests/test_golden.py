@@ -47,6 +47,34 @@ def test_golden_labels_are_byte_identical(tmp_path, variant):
     assert verify_certificate(json.loads(golden.read_text()))
 
 
+# momenta with mixed signs, a zero and non-unit denominators at mass 3/7
+SPECTRA = {
+    4: "-2/3,5,-7/11,1/4",
+    8: "1/2,-3,5/9,-7/4,0,11/13,-2,6/5",
+}
+
+
+@pytest.mark.parametrize("d", sorted(SPECTRA))
+def test_golden_spectra_are_byte_identical(tmp_path, d):
+    out = tmp_path / f"spectrum_d{d}.json"
+    code = main(
+        ["spectrum", "--dim", str(d), "--mass", "3/7", f"--p={SPECTRA[d]}", "--out", str(out)]
+    )
+    assert code == 0
+    golden = GOLDEN / f"spectrum_d{d}.json"
+    assert out.read_bytes() == golden.read_bytes()
+    assert verify_certificate(json.loads(golden.read_text()))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_golden_gammas_are_byte_identical(tmp_path, d):
+    out = tmp_path / f"gamma_d{d}.json"
+    assert main(["gamma", "--dim", str(d), "--out", str(out)]) == 0
+    golden = GOLDEN / f"gamma_d{d}.json"
+    assert out.read_bytes() == golden.read_bytes()
+    assert verify_certificate(json.loads(golden.read_text()))
+
+
 def test_golden_rows_record_expected_pattern():
     rows = {}
     for d in DIMS:

@@ -164,6 +164,33 @@ def test_string_sum_product_cancels_to_empty():
     assert pauli.mul_sums([x, xz], [x, xz]) == {}
 
 
+_coefficients = st.tuples(_rationals, _rationals).map(lambda p: ExactScalar(*p))
+
+
+@st.composite
+def _square_sums(draw):
+    # strings drawn from a small pool, so that masks repeat and commuting
+    # and anticommuting pairs mix; zero and complex coefficients included
+    q = draw(st.integers(1, 4))
+    masks = st.integers(0, (1 << q) - 1)
+    pool = draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=4))
+    term = st.tuples(_coefficients, st.sampled_from(pool)).map(lambda t: (t[0], *t[1]))
+    return draw(st.lists(term, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_sums())
+@example([])
+@example([(ONE, 1, 0), (ONE, 1, 1)])  # X + XZ: anticommuting, squares cancel
+@example([(ONE, 1, 0), (ExactScalar(0, 2), 1, 0)])  # one string twice
+@example([(ONE, 1, 0), (ExactScalar(-3), 2, 0), (I_UNIT, 3, 3)])  # commuting pairs
+@example([(ExactScalar(0), 1, 2), (ONE, 0, 1), (ExactScalar(1, -1), 3, 0)])
+def test_square_sum_is_the_product_of_a_sum_with_itself(terms):
+    got = pauli.square_sum(terms)
+    assert got == pauli.mul_sums(terms, terms)
+    assert all(got.values())
+
+
 def test_solve_affine_lists_every_solution():
     # s0 ^ s1 = 1, s1 = 0 over three bits: s = 0b001 and 0b101
     assert pauli.solve_affine([(0b011, 1), (0b010, 0)], 3) == [0b001, 0b101]

@@ -30,6 +30,7 @@ from diracsym.symmetry import model_for_variant
 
 from dense_oracle import (
     dense_dispersion_check,
+    dense_evolution_operator,
     dense_hamiltonian,
     dense_little_group_labels,
 )
@@ -61,6 +62,27 @@ class TestDispersion:
         model = model_for(4, mass=0)
         block = dispersion_check(model, [1, 0, 0, 1])
         assert block["ok"] and block["omega2"] == Fraction(2)
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_square_takes_one_product_per_term(self, monkeypatch, d, doubled):
+        # the d+1 strings of H(p) anticommute pairwise, so squaring them
+        # multiplies each string only by itself; d=64 is a library call
+        # far above the CLI's MAX_DIM
+        model = model_for(d, mass=Fraction(3, 7), doubled=doubled)
+        p = [Fraction((-1) ** k * (k + 1), k + 2) for k in range(d)]
+        terms = model.hamiltonian_strings(p)
+        assert len(terms) == d + 1
+        calls = []
+        real = pauli.mul
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(pauli, "mul", counting)
+        assert dispersion_check(model, p)["ok"]
+        assert len(calls) == len(terms)
 
 
 _MODELS = {
@@ -376,6 +398,36 @@ class TestDensityEvolution:
         rho0 = DensityState(p=(0, 0), matrix=self._rho0(2))
         out = density_evolve([0, 0], model, rho0, 5.0)
         assert np.abs(out.matrix - rho0.matrix).max() == 0.0
+
+    @pytest.mark.parametrize("variant", sorted(_MODELS))
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_string_operator_matches_dense_oracle(self, d, variant):
+        model = _MODELS[variant](d, Fraction(3, 7))
+        for p in (
+            [Fraction((-1) ** k * (2 * k + 1), k + 3) for k in range(d)],
+            [Fraction(0)] * (d - 1) + [Fraction(-7, 2)],
+            [Fraction(0)] * d,
+        ):
+            for t in (0.0, 0.37, 5.9):
+                got = evolution_operator(model, p, t)
+                want = dense_evolution_operator(model, p, t)
+                assert got.shape == want.shape == (model.dim, model.dim)
+                assert np.abs(got - want).max() < 1e-14, (p, t)
+
+    def test_no_exact_dense_matrix(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("density_evolve built an exact dense matrix")
+
+        monkeypatch.setattr(DiracModel, "hamiltonian_matrix", never)
+        monkeypatch.setattr(pauli, "encode_sum", never)
+        monkeypatch.setattr(ExactMatrix, "_make", never)
+        for variant in sorted(_MODELS):
+            for d in (2, 8):
+                model = _MODELS[variant](d, Fraction(3, 7))
+                p = [Fraction(k - 2, 3) for k in range(d)]
+                rho0 = DensityState(p=tuple(p), matrix=self._rho0(model.dim))
+                out = density_evolve(p, model, rho0, 1.1, steps=3)
+                assert abs(np.trace(out.matrix).real - 1.0) < self.TOL
 
     def test_invalid_density_rejected(self):
         with pytest.raises(ValueError):
