@@ -14,12 +14,15 @@ so linear conditions of the form S*A = r*A*S on one string S are affine
 equations over GF(2) in the bits of (x_S, z_S).  The same rule squares a
 sum of strings (``square_sum``): S*P + P*S is 2*S*P when <S,P> is even
 and 0 when it is odd, so an anticommuting pair costs a parity test on
-integer masks and no product.
+integer masks and no product.  Sums whose strings pairwise commute have a
+joint eigenbasis, and ``joint_spectrum`` reads their joint eigenvalues
+off the sign patterns of a GF(2) basis of the strings, again with no
+product of sums.
 """
 
 from __future__ import annotations
 
-from .exact import ExactMatrix, ExactScalar, ZERO
+from .exact import I_UNIT, ONE, ZERO, ExactMatrix, ExactScalar
 
 
 def parity(v: int) -> int:
@@ -110,6 +113,67 @@ def square_sum(terms) -> dict:
             c = c + c
             out[x, z] = out[x, z] + c if (x, z) in out else c
     return {key: c for key, c in out.items() if c}
+
+
+def joint_spectrum(sums, n: int) -> dict:
+    """The joint spectrum on n states of sums of strings (c, x, z) whose
+    strings pairwise commute, as {(v_1, ..., v_m): dimension} with v_i the
+    eigenvalue of the i-th sum; ArithmeticError if two strings anticommute.
+
+    Like strings are added and exact zeros dropped first.  Elimination over
+    GF(2) on the packed masks picks independent strings g_1..g_k among the
+    rest and writes every string as a phase times a product of g_i; the
+    strings commute pairwise exactly when the g_i do.  g_i^2 is
+    (-1)^|x&z|, so g_i has eigenvalues +-1, or +-i when |x&z| is odd, and
+    each of the 2^k sign patterns fixes one eigenvalue of every g_i.  A
+    nonempty product of distinct g_i is a string other than the identity
+    and has trace 0, so the projector onto each pattern has trace n / 2^k:
+    the patterns split the space into joint eigenspaces of that dimension,
+    and on each one a sum is the number its strings' values add up to.
+    """
+    q = qubits(n)
+    added = []
+    for terms in sums:
+        out = {}
+        for c, x, z in terms:
+            if (x | z) >= n:
+                raise ValueError(f"string ({x}, {z}) does not act on {n} states")
+            out[x, z] = out[x, z] + c if (x, z) in out else c
+        added.append({key: c for key, c in out.items() if c})
+    gens = []  # (x, z) of g_1..g_k
+    pivots = {}  # leading bit -> (packed mask, bit set of the g_i multiplied)
+    words = {}  # (x, z) -> (bit set of the g_i, value of X^x Z^z on pattern 0)
+    for x, z in dict.fromkeys(key for out in added for key in out):
+        mask, used = pack(x, z, q), 0
+        while mask:
+            lead = mask.bit_length() - 1
+            if lead not in pivots:
+                if any(parity((x & gz) ^ (z & gx)) for gx, gz in gens):
+                    raise ArithmeticError("the strings do not commute")
+                pivots[lead] = mask, used ^ 1 << len(gens)
+                used = 1 << len(gens)
+                gens.append((x, z))
+                break
+            mask ^= pivots[lead][0]
+            used ^= pivots[lead][1]
+        # X^x Z^z = phase * prod g_i, with g_i = +1, or +i when |x&z| is
+        # odd, on pattern 0
+        word = ONE, 0, 0
+        for i, (gx, gz) in enumerate(gens):
+            if used >> i & 1:
+                word = mul(word, (I_UNIT if parity(gx & gz) else ONE, gx, gz))
+        words[x, z] = used, word[0]
+    per_sum = [
+        [(words[key][0], c * words[key][1]) for key, c in out.items()] for out in added
+    ]
+    spectrum = {}
+    for pattern in range(1 << len(gens)):
+        values = tuple(
+            sum((-c if parity(pattern & used) else c for used, c in terms), ZERO)
+            for terms in per_sum
+        )
+        spectrum[values] = spectrum.get(values, 0) + (n >> len(gens))
+    return spectrum
 
 
 def solve_affine(rows, nbits: int) -> list[int]:

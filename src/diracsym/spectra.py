@@ -3,25 +3,25 @@
 Everything about eigenvalues is phrased through exact identities on H^2
 and traces, so irrational square roots never appear in exact mode.
 The dispersion certificate and the d=4 little-group labels are decided
-on sums of Pauli strings (``pauli``), the labels by the traces of exact
-spectral projectors, and build no dense matrix; only the d=4 fiber check
-squares a dense H.  Floating point is quarantined to
-the density-matrix evolution, and so is numpy: ``DensityState`` and
-``evolution_operator`` import it on first use, so importing this module,
-and every exact check in it, loads no numerical library.  The evolution
-writes its float H(p) straight from the Pauli strings of H(p), n entries
-per string, with no exact dense matrix in between.
+on sums of Pauli strings (``pauli``), the labels by the sign patterns
+of a GF(2) basis of their commuting strings, and build no dense matrix;
+only the d=4 fiber check squares a dense H.  Floating point is
+quarantined to the density-matrix evolution, and so is numpy:
+``DensityState`` and ``evolution_operator`` import it on first use, so
+importing this module, and every exact check in it, loads no numerical
+library.  The evolution writes its float H(p) straight from the Pauli
+strings of H(p), n entries per string, with no exact dense matrix in
+between.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import pauli
-from .exact import ONE, ZERO, ExactMatrix, ExactScalar, parse_rational
+from .exact import ZERO, ExactMatrix, ExactScalar, parse_rational
 from .models import DiracModel, model_for
 
 HERMITICITY_TOL = 1e-12
@@ -73,7 +73,7 @@ class RepLabel:
 def _casimirs(model: DiracModel) -> tuple[list, list]:
     """The Casimirs A^2 = sum_i A_i^2 and B^2 = sum_i B_i^2 of the two
     commuting angular-momentum triples on a d=4 model, each a list of
-    distinct strings.
+    strings in which a string may repeat.
 
     A_i = (rot_i - S_i4) / 2 and B_i = (rot_i + S_i4) / 2 where rot_i is
     the spatial-rotation generator S_jk with (i, j, k) cyclic and
@@ -93,58 +93,27 @@ def _casimirs(model: DiracModel) -> tuple[list, list]:
         terms = []
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             a_i = [half_spin(j, k), half_spin(i, 4, sign)]  # A_i, then B_i
-            terms += _terms(pauli.square_sum(a_i))
-        casimirs.append(_times(terms, _IDENTITY))  # like strings added
+            terms += [(c, x, z) for (x, z), c in pauli.square_sum(a_i).items()]
+        casimirs.append(terms)
     return casimirs[0], casimirs[1]
 
 
 _J_CANDIDATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
-_IDENTITY = [(ONE, 0, 0)]
-
-
-def _terms(sums: dict) -> list:
-    """A {(x, z): c} sum of strings as a list of distinct strings."""
-    return [(c, x, z) for (x, z), c in sums.items()]
-
-
-def _times(a, b) -> list:
-    """The product of two sums of strings as a list of distinct strings."""
-    return _terms(pauli.mul_sums(a, b))
-
-
-def _projectors(op: list, values: list) -> list[list]:
-    """The spectral projectors of a sum of strings onto each of the
-    distinct rationals in values.  prod_k (op - v_k) == 0 certifies that
-    op is diagonalizable with its spectrum among the values (otherwise
-    ArithmeticError); then L_j = prod_{k != j} (op - v_k) / (v_j - v_k),
-    from prefix and suffix products, projects onto the v_j eigenspace,
-    and is empty exactly when v_j is not an eigenvalue.
-    """
-    factors = [[*op, (ExactScalar(-v), 0, 0)] for v in values]
-    prefix = [_IDENTITY]
-    for f in factors:
-        prefix.append(_times(prefix[-1], f))
-    if prefix.pop():
-        raise ArithmeticError("an operator has an eigenvalue off its candidates")
-    suffix = [_IDENTITY]
-    for f in reversed(factors[1:]):
-        suffix.insert(0, _times(f, suffix[0]))
-    out = []
-    for v, before, after in zip(values, prefix, suffix):
-        scale = ExactScalar(1 / math.prod(v - w for w in values if w != v))
-        out.append([(c * scale, x, z) for c, x, z in _times(before, after)])
-    return out
 
 
 def little_group_labels(model: DiracModel) -> list[RepLabel]:
     """Rest-frame little-group content of a massive d=4 model.
 
     The Casimirs A^2, B^2 and the energy sign branch*beta = H(0)/mass
-    stay sums of Pauli strings; no dense matrix is built.  Once they are
-    certified to commute pairwise and each to be diagonalizable with its
-    spectrum among the candidates, the product of their spectral
-    projectors projects onto the joint eigenspace of (s, j1, j2), whose
-    dimension is its trace: n times its identity coefficient.
+    stay sums of Pauli strings; no dense matrix is built.  Their strings
+    commute pairwise (otherwise ArithmeticError), so
+    ``pauli.joint_spectrum`` reads their joint eigenspaces off the sign
+    patterns of a GF(2) basis g_1..g_k of those strings: each pattern
+    fixes the eigenvalue of every g_i, and with it one eigenvalue of each
+    operator on a space of dimension n / 2^k.  Every eigenvalue must be a
+    candidate, j(j+1) for A^2 and B^2 and +-1 for the sign; the dimension
+    of the joint eigenspace of (s, j1, j2) is then a whole number of
+    (2 j1 + 1)(2 j2 + 1) blocks.
     """
     if model.d != 4:
         raise ValueError("little-group labels are computed for d == 4")
@@ -153,30 +122,19 @@ def little_group_labels(model: DiracModel) -> list[RepLabel]:
     a2, b2 = _casimirs(model)
     n = model.dim
     branch_beta = [pauli.mul((ExactScalar(model.branch), 0, 0), model.beta_string)]
-    for u, v in ((a2, b2), (a2, branch_beta), (b2, branch_beta)):
-        if pauli.mul_sums(u, v) != pauli.mul_sums(v, u):
-            raise ArithmeticError("the Casimirs and the energy sign do not commute")
-    energy = _projectors(branch_beta, [Fraction(1), Fraction(-1)])
-    js = [j * (j + 1) for j in _J_CANDIDATES]
-    live_a, live_b = (
-        [(j, p) for j, p in zip(_J_CANDIDATES, _projectors(cas, js)) if p]
-        for cas in (a2, b2)
-    )
+    spins = {j * (j + 1): j for j in _J_CANDIDATES}
     labels = []
-    for sign, p_s in zip((1, -1), energy):
-        for j1, p_a in live_a:
-            p_sa = _times(p_s, p_a)
-            for j2, p_b in live_b:
-                dim = ExactScalar(n) * pauli.mul_sums(p_sa, p_b).get((0, 0), ZERO)
-                if not dim:
-                    continue
-                block = int((2 * j1 + 1) * (2 * j2 + 1))
-                if dim.im or dim.re % block:
-                    raise ArithmeticError("eigenspace is not a whole number of blocks")
-                labels.append(RepLabel(sign, j1, j2, int(dim.re) // block))
+    for (s, a, b), dim in pauli.joint_spectrum([branch_beta, a2, b2], n).items():
+        if s.im or a.im or b.im or abs(s.re) != 1 or not {a.re, b.re} <= spins.keys():
+            raise ArithmeticError("an operator has an eigenvalue off its candidates")
+        j1, j2 = spins[a.re], spins[b.re]
+        block = int((2 * j1 + 1) * (2 * j2 + 1))
+        if dim % block:
+            raise ArithmeticError("eigenspace is not a whole number of blocks")
+        labels.append(RepLabel(int(s.re), j1, j2, dim // block))
     if sum(l.multiplicity * l.block_dim() for l in labels) != n:
         raise ArithmeticError("label multiplicities do not sum to rep_dim")
-    return labels
+    return sorted(labels, key=lambda l: (-l.energy_sign, l.j1, l.j2))
 
 
 def sqrt_dirac_fiber(m, p3) -> dict:

@@ -14,7 +14,7 @@ where the engine takes its first solution string.
 ``dense_little_group_labels`` is the labels' former dense path: it
 encodes the engine's two Casimir string sums as dense matrices and
 takes exact joint nullspaces with the energy eigenspaces, where the
-engine reads traces of spectral projectors built from strings.
+engine reads the sign patterns of a GF(2) basis of their strings.
 
 ``dense_dispersion_check`` is the dense form of
 ``diracsym.spectra.dispersion_check``: it builds H(p) from the dense

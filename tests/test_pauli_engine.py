@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diracsym import ExactMatrix, ExactScalar, pauli, solve_tau, verify_tau
-from diracsym import models, symmetry
+from diracsym import exact, models, symmetry
 from diracsym.certificate import tau_solution_json
 from diracsym.exact import I_UNIT, ONE
 from diracsym.models import DiracModel, model_for
@@ -189,6 +189,70 @@ def test_square_sum_is_the_product_of_a_sum_with_itself(terms):
     got = pauli.square_sum(terms)
     assert got == pauli.mul_sums(terms, terms)
     assert all(got.values())
+
+
+@st.composite
+def _commuting_sums(draw):
+    # masks drawn from the span of random commuting strings, so the sums
+    # hold dependent strings S, P and S*P, strings with odd |x&z|, zero
+    # and complex coefficients, and strings repeated across sums
+    q = draw(st.integers(0, 3))
+    n = 1 << q
+    masks = st.integers(0, n - 1)
+    span = {(0, 0)}
+    for gx, gz in draw(st.lists(st.tuples(masks, masks), max_size=4)):
+        if not any(pauli.parity((x & gz) ^ (z & gx)) for x, z in span):
+            span |= {(x ^ gx, z ^ gz) for x, z in span}
+    term = st.tuples(_coefficients, st.sampled_from(sorted(span)))
+    terms = st.lists(term.map(lambda t: (t[0], *t[1])), max_size=5)
+    return draw(st.lists(terms, min_size=1, max_size=3)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_commuting_sums())
+@example(([[]], 1))
+@example(([[(ExactScalar(0), 0, 0)], [(ExactScalar(2, 1), 0, 0)]], 2))
+# XX, ZZ and their product, which repeats XX with a complex coefficient
+@example(([[(ONE, 3, 0), (ONE, 0, 3)], [(ExactScalar(2), 3, 3), (I_UNIT, 3, 0)]], 4))
+# XZ on the low qubit squares to -1, so its eigenvalues are +-i
+@example(([[(ONE, 1, 1)], [(I_UNIT, 1, 1), (ExactScalar(0), 2, 0)]], 4))
+@example(([[(ONE, 1, 1), (ExactScalar(1, 3), 6, 4)], [(ONE, 7, 5)]], 8))
+def test_joint_spectrum_matches_dense_nullities(s):
+    sums, n = s
+    got = pauli.joint_spectrum(sums, n)
+    assert sum(got.values()) == n
+    for values, dim in got.items():
+        rows = [
+            row
+            for terms, v in zip(sums, values)
+            for row in pauli.encode_sum([*terms, (-v, 0, 0)], n).rows
+        ]
+        assert len(exact.nullspace(rows, n)) == dim, values
+
+
+@pytest.mark.parametrize(
+    "sums",
+    [
+        [[(ONE, 1, 0)], [(ONE, 0, 1)]],  # X and Z
+        [[(ONE, 1, 0), (ONE, 0, 1)]],  # X + Z commutes with itself, X with Z not
+        [[(ONE, 3, 0)], [(ONE, 0, 3)], [(ExactScalar(0, 2), 1, 0)]],  # X0 and ZZ
+    ],
+)
+def test_joint_spectrum_refuses_anticommuting_strings(sums):
+    with pytest.raises(ArithmeticError, match="do not commute"):
+        pauli.joint_spectrum(sums, 4)
+
+
+def test_joint_spectrum_refuses_a_string_wider_than_n():
+    with pytest.raises(ValueError, match="does not act on 4 states"):
+        pauli.joint_spectrum([[(ONE, 0, 0)], [(ONE, 4, 0)]], 4)
+
+
+def test_joint_spectrum_skips_strings_that_add_to_zero():
+    # Z - Z is no string of the sum, so it cannot anticommute with X
+    sums = [[(ONE, 1, 0)], [(ONE, 0, 1), (-ONE, 0, 1), (ExactScalar(0), 1, 1)]]
+    zero = ExactScalar(0)
+    assert pauli.joint_spectrum(sums, 2) == {(ONE, zero): 1, (-ONE, zero): 1}
 
 
 def test_solve_affine_lists_every_solution():

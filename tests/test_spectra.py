@@ -224,7 +224,7 @@ class TestLittleGroupLabels:
 
 
 class TestLabelsAgainstDenseOracle:
-    """The projector-trace labels against exact dense joint nullspaces."""
+    """The sign-pattern labels against exact dense joint nullspaces."""
 
     @pytest.mark.parametrize("branch", [1, -1])
     @pytest.mark.parametrize("variant", _LABEL_VARIANTS)
@@ -256,6 +256,29 @@ class TestLabelsAgainstDenseOracle:
         monkeypatch.setattr(spectra, "_casimirs", lambda m: (a2, [(exact.ONE, 1, 0)]))
         with pytest.raises(ArithmeticError, match="do not commute"):
             little_group_labels(model)
+
+    def test_partial_block_raises(self, monkeypatch):
+        # A^2 = 2 puts j1 = 1, a block of 3, on each energy eigenspace of
+        # dimension 2
+        two = [(ExactScalar(2), 0, 0)]
+        monkeypatch.setattr(spectra, "_casimirs", lambda m: (two, []))
+        with pytest.raises(ArithmeticError, match="whole number of blocks"):
+            little_group_labels(model_for(4, mass=2))
+
+    @pytest.mark.parametrize("variant", _LABEL_VARIANTS)
+    def test_labels_take_at_most_two_sum_products(self, monkeypatch, variant):
+        model = model_for_variant(4, variant, Fraction(7, 3))
+        want = dense_little_group_labels(model)
+        calls = []
+        real = pauli.mul_sums
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(pauli, "mul_sums", counting)
+        assert little_group_labels(model) == want
+        assert len(calls) <= 2
 
     def test_no_dense_matrix(self, monkeypatch):
         models = [model_for_variant(4, v, Fraction(7, 3)) for v in _LABEL_VARIANTS]
