@@ -11,7 +11,7 @@ from .clifford import (
     monomial_basis,
     system_for,
 )
-from .models import DiracModel, OperatorSymbol, doubled, generator, model_for
+from .models import DiracModel, doubled, generator, model_for
 from .symmetry import (
     CANDIDATES,
     CLASSIFY_ORDER,
@@ -54,7 +54,6 @@ __all__ = [
     "monomial_basis",
     "system_for",
     "DiracModel",
-    "OperatorSymbol",
     "doubled",
     "generator",
     "model_for",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import pauli
-from .exact import ExactMatrix, I_UNIT, MINUS_ONE, ONE, matmul, rank
+from .exact import ExactMatrix, I_UNIT, MINUS_ONE, ONE, matmul
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,3 @@ def monomial_basis(gs: GammaSystem, max_degree: int) -> list[CliffordMonomial]:
                 s = pauli.mul(s, gs.strings[idx])
             out.append(CliffordMonomial(subset, s, pauli.encode(*s, n)))
     return out
-
-
-def monomials_span_full_space(gs: GammaSystem) -> bool:
-    """Exact rank check: degree <= d+1 monomials span all matrices."""
-    n = gs.rep_dim
-    mons = monomial_basis(gs, gs.d + 1)
-    rows = []
-    for mon in mons:
-        rows.append(
-            [mon.matrix[i, j] for i in range(n) for j in range(n)]
-        )
-    return rank(rows) == n * n
-

@@ -3,11 +3,10 @@
 The generators are given in closed form as {monomial: Pauli string}: a
 monomial in t, x_1..x_d, p_1..p_d in normal order (every x factor left of
 every p factor), and one string (c, x, z) of ``pauli`` as its matrix
-coefficient.  ``symbol`` encodes them as operator symbols, normal-ordered
-polynomials with exact dense matrix coefficients, on which ``verify_tau``
-checks intertwiners.  The symbol product, which implements
-[x_k, p_l] = i*delta_kl and checks the closed forms, is in the tests'
-dense oracle.
+coefficient.  Both the solver and ``verify_tau`` work on these strings.
+Dense operator symbols, normal-ordered polynomials with exact matrix
+coefficients, and their product, which implements [x_k, p_l] = i*delta_kl
+and checks the closed forms, are in the tests' dense oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .exact import (
     ExactScalar,
     MINUS_ONE,
     ONE,
-    matmul,
 )
 
 # A monomial is (t_exp, x_exps, p_exps) with x_exps/p_exps tuples of length d.
@@ -44,81 +42,6 @@ def p_monomial(d: int, k: int) -> Monomial:
     e = [0] * d
     e[k - 1] = 1
     return (0, (0,) * d, tuple(e))
-
-
-class OperatorSymbol:
-    """Normal-ordered polynomial in {t, x_k, p_k} with matrix coefficients."""
-
-    __slots__ = ("d", "dim", "terms")
-
-    def __init__(self, d: int, dim: int, terms: dict | None = None):
-        self.d = d
-        self.dim = dim
-        self.terms: dict = {}
-        if terms:
-            for mono, mat in terms.items():
-                self._add_term(mono, mat)
-
-    def _add_term(self, mono: Monomial, mat: ExactMatrix) -> None:
-        cur = self.terms.get(mono)
-        new = mat if cur is None else cur + mat
-        if new.is_zero():
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = new
-
-    def copy(self) -> "OperatorSymbol":
-        s = OperatorSymbol(self.d, self.dim)
-        s.terms = dict(self.terms)
-        return s
-
-    def __add__(self, other: "OperatorSymbol") -> "OperatorSymbol":
-        self._check(other)
-        out = self.copy()
-        for mono, mat in other.terms.items():
-            out._add_term(mono, mat)
-        return out
-
-    def __sub__(self, other: "OperatorSymbol") -> "OperatorSymbol":
-        return self + other.scale(ExactScalar(-1))
-
-    def scale(self, c: ExactScalar) -> "OperatorSymbol":
-        s = OperatorSymbol(self.d, self.dim)
-        for mono, mat in self.terms.items():
-            s._add_term(mono, mat.scale(c))
-        return s
-
-    def left_mul(self, mat: ExactMatrix) -> "OperatorSymbol":
-        """Multiply every coefficient by ``mat`` on the left."""
-        s = OperatorSymbol(self.d, self.dim)
-        for mono, m in self.terms.items():
-            s._add_term(mono, matmul(mat, m))
-        return s
-
-    def right_mul(self, mat: ExactMatrix) -> "OperatorSymbol":
-        s = OperatorSymbol(self.d, self.dim)
-        for mono, m in self.terms.items():
-            s._add_term(mono, matmul(m, mat))
-        return s
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperatorSymbol):
-            return NotImplemented
-        return (
-            self.d == other.d
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def _check(self, other: "OperatorSymbol") -> None:
-        if self.d != other.d or self.dim != other.dim:
-            raise ValueError("operator symbols live on different spaces")
-
-    def __repr__(self) -> str:
-        return f"OperatorSymbol(d={self.d}, dim={self.dim}, terms={len(self.terms)})"
 
 
 @dataclass(frozen=True)
@@ -212,14 +135,6 @@ def doubled(model: DiracModel) -> DiracModel:
     if model.doubled:
         raise ValueError("model is already doubled")
     return replace(model, doubled=True, branch=1)
-
-
-def symbol(model: DiracModel, gen: dict) -> OperatorSymbol:
-    """A {monomial: string} generator as a dense operator symbol."""
-    n = model.dim
-    return OperatorSymbol(
-        model.d, n, {mono: pauli.encode(*s, n) for mono, s in gen.items()}
-    )
 
 
 def _times(k: ExactScalar, s: tuple) -> tuple:

@@ -17,10 +17,13 @@ and 0 when it is odd, so an anticommuting pair costs a parity test on
 integer masks and no product.  Sums whose strings pairwise commute have a
 joint eigenbasis, and ``joint_spectrum`` reads their joint eigenvalues
 off the sign patterns of a GF(2) basis of the strings, again with no
-product of sums.
+product of sums.  ``expand`` writes any dense matrix as a sum of strings,
+the inverse of ``encode_sum``.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .exact import I_UNIT, ONE, ZERO, ExactMatrix, ExactScalar
 
@@ -77,6 +80,33 @@ def encode_sum(terms, n: int) -> ExactMatrix:
             v = neg if parity(col & z) else c
             row[col] = v if row[col] is ZERO else row[col] + v
     return ExactMatrix._make(rows)
+
+
+def expand(m: ExactMatrix) -> list:
+    """The terms (c, x, z) of m as a sum of strings, with the exact zeros
+    dropped: the inverse of ``encode_sum``.
+
+    The n strings with one x mask fill the n entries m[r][r^x], and the
+    signs (-1)^|(r^x)&z| are the rows of a Hadamard matrix, so
+
+        c(x, z) = (1/n) * sum_r (-1)^|(r^x)&z| * m[r][r^x].
+
+    An x whose n entries are all zero holds no string and is skipped.
+    """
+    n = m.dim
+    qubits(n)
+    inv = ExactScalar(Fraction(1, n))
+    terms = []
+    for x in range(n):
+        entries = [(r ^ x, row[r ^ x]) for r, row in enumerate(m.rows)]
+        entries = [(col, v) for col, v in entries if v]
+        if not entries:
+            continue
+        for z in range(n):
+            c = sum((-v if parity(col & z) else v for col, v in entries), ZERO)
+            if c:
+                terms.append((inv * c, x, z))
+    return terms
 
 
 def mul_sums(a, b) -> dict:

@@ -7,8 +7,8 @@ class it prescribes a bracket sign eps, and the intertwiner equation
     tau * T(G) - eps * G * tau == 0
 
 is identified coefficient-by-coefficient on the orbital monomials of G.
-T(G) is the transformed generator symbol: t -> t_sign*t, x -> x_sign*x,
-p -> x_sign*p (with an extra sign flip of p and conjugated matrix
+T(G) is the transformed generator (``transform``): t -> t_sign*t,
+x -> x_sign*x, p -> x_sign*p (with an extra sign flip of p and conjugated
 coefficients when S is antilinear).
 
 The generators are given in closed form, every coefficient one scalar
@@ -25,6 +25,11 @@ computation on the entries of tau would give.  Every string is unitary,
 so a candidate is a symmetry exactly when a solution string exists, and
 the first one is the reported invertible representative: no search over
 the span is needed.
+
+``verify_tau`` re-checks any dense tau by a second route: it expands tau
+in strings (``pauli.expand``) and multiplies it with every coefficient of
+T(G) and of G, with no row system.  The tests keep a dense form of the
+same check (``dense_verify_tau``) as its oracle.
 """
 
 from __future__ import annotations
@@ -41,12 +46,7 @@ from .exact import (
     _Rref,
     nullspace_from_rref,
 )
-from .models import (
-    DiracModel,
-    OperatorSymbol,
-    model_for,
-    symbol,
-)
+from .models import DiracModel, model_for
 
 GENERATOR_CLASSES = ("P0", "Pk", "Jkl", "J0k")
 
@@ -130,18 +130,20 @@ CANDIDATES.update({c.name: c for c in (TPC, TWC, PTC)})
 CANDIDATES[TP_LITERAL.name] = TP_LITERAL
 
 
-def transform(sym: OperatorSymbol, cand: SymmetryCandidate) -> OperatorSymbol:
-    """Apply the candidate's coordinate/conjugation calculus to a symbol.
+def transform(gen: dict, cand: SymmetryCandidate) -> dict:
+    """T(G) of a generator {monomial: string (c, x, z)}: each monomial's
+    string times its sign (``_term_sign``), with c conjugated when S is
+    antilinear.  The strings X^x Z^z are real, so conjugation touches c
+    alone.
 
     tau is deliberately not applied; the result is T(G) so that the
     intertwiner constraint reads tau*T(G) = eps*G*tau.
     """
-    out = OperatorSymbol(sym.d, sym.dim)
-    for mono, mat in sym.terms.items():
-        m = mat.conj() if cand.antilinear else mat
-        if _term_sign(mono, cand) < 0:
-            m = -m
-        out._add_term(mono, m)
+    out = {}
+    for mono, (c, x, z) in gen.items():
+        if cand.antilinear:
+            c = c.conjugate()
+        out[mono] = (-c if _term_sign(mono, cand) < 0 else c), x, z
     return out
 
 
@@ -359,20 +361,33 @@ def verify_tau(
     tau: ExactMatrix,
     include_j: bool = True,
 ) -> bool:
-    """Re-check tau*T(G) - eps*G*tau == 0 by direct symbol algebra.
+    """Re-check tau*T(G) - eps*G*tau == 0 on every generator monomial.
 
-    Independent of the string solver: works on whole dense generator
-    symbols, not on the assembled row system.
+    tau, any dense matrix on the model's space, is expanded in Pauli
+    strings (``pauli.expand``: n^2 coefficients, each read from n
+    entries), and both sides of each monomial's equation are products of
+    string sums (``pauli.mul_sums``), which are equal matrices exactly
+    when they are equal dicts.  The check shares only the closed-form
+    generators, the monomial signs and the string product with the
+    solver.  It builds no GF(2) row (``_string_rows``) and solves no
+    affine system, so a fault in the solver's sign rule or elimination
+    cannot hide in its own re-check.
     """
+    if tau.dim != model.dim:
+        raise ValueError(
+            f"tau is {tau.dim}x{tau.dim}, but the model acts on {model.dim} states"
+        )
+    terms = pauli.expand(tau)
     for cls, _, g in model.generators:
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = ExactScalar(cand.eps(cls))
-        sym = symbol(model, g)
-        lhs = transform(sym, cand).left_mul(tau)
-        rhs = sym.right_mul(tau).scale(eps)
-        if not (lhs - rhs).is_zero():
-            return False
+        tg = transform(g, cand)
+        for mono, (c, x, z) in g.items():
+            lhs = pauli.mul_sums(terms, [tg[mono]])
+            rhs = pauli.mul_sums([(eps * c, x, z)], terms)
+            if lhs != rhs:
+                return False
     return True
 
 

@@ -6,10 +6,19 @@ of every (generator, monomial) pair and eliminates the rows exactly, in
 the n^2 entries of tau (``_solve_full``) or in the coordinates of a
 matrix span (``_solve_span``).  It shares nothing with the Pauli-string
 engine in ``diracsym.symmetry`` except the closed-form generators (here
-encoded as dense symbols), ``transform`` and the exact kernels, so the
-two check each other.  The oracle has no strings, so it finds its
+encoded as dense symbols), the monomial signs and the exact kernels, so
+the two check each other.  The oracle has no strings, so it finds its
 invertible representative by a determinant scan (``invertible_element``)
 where the engine takes its first solution string.
+
+``OperatorSymbol`` is a normal-ordered polynomial in t, x_k, p_k with
+exact dense matrix coefficients; ``symbol`` encodes a closed-form
+generator {monomial: string} as one, and ``dense_transform`` applies a
+candidate's coordinate and conjugation calculus to it, entry by entry.
+``dense_verify_tau`` is the intertwiner check on these symbols, with one
+n x n matrix product per side and monomial, where
+``diracsym.symmetry.verify_tau`` expands tau in Pauli strings and
+multiplies strings.
 
 ``dense_little_group_labels`` is the labels' former dense path: it
 encodes the engine's two Casimir string sums as dense matrices and
@@ -30,6 +39,9 @@ reordering with [x_k, p_l] = i*delta_kl; ``commutator``, ``coeff``,
 ``square_of_hamiltonian`` and ``dispersion_scalar`` square the symbol of
 H and read off the scalar symbol of H^2.
 
+``monomials_span_full_space`` checks by an exact rank that the gamma
+monomials of degree <= d+1 span every matrix.
+
 ``reference_string_rows`` is the engine's row builder as it stood
 before rows were decided by integer signs: one row per (generator,
 monomial) with duplicates kept, each sign decided by exact scalar
@@ -42,10 +54,12 @@ import math
 from fractions import Fraction
 
 from diracsym import pauli
+from diracsym.clifford import GammaSystem, monomial_basis
 from diracsym.exact import (
     ONE, ExactMatrix, ExactScalar, ZERO, _Rref, matmul, nullspace, nullspace_from_rref,
+    rank,
 )
-from diracsym.models import DiracModel, OperatorSymbol, generator, symbol
+from diracsym.models import DiracModel, generator
 from diracsym.spectra import RepLabel, _casimirs
 from diracsym.symmetry import (
     SymmetryCandidate,
@@ -53,8 +67,137 @@ from diracsym.symmetry import (
     _normalize,
     _term_sign,
     clifford2_span,
-    transform,
 )
+
+
+class OperatorSymbol:
+    """Normal-ordered polynomial in {t, x_k, p_k} with matrix coefficients."""
+
+    __slots__ = ("d", "dim", "terms")
+
+    def __init__(self, d: int, dim: int, terms: dict | None = None):
+        self.d = d
+        self.dim = dim
+        self.terms: dict = {}
+        if terms:
+            for mono, mat in terms.items():
+                self._add_term(mono, mat)
+
+    def _add_term(self, mono, mat: ExactMatrix) -> None:
+        cur = self.terms.get(mono)
+        new = mat if cur is None else cur + mat
+        if new.is_zero():
+            self.terms.pop(mono, None)
+        else:
+            self.terms[mono] = new
+
+    def copy(self) -> "OperatorSymbol":
+        s = OperatorSymbol(self.d, self.dim)
+        s.terms = dict(self.terms)
+        return s
+
+    def __add__(self, other: "OperatorSymbol") -> "OperatorSymbol":
+        self._check(other)
+        out = self.copy()
+        for mono, mat in other.terms.items():
+            out._add_term(mono, mat)
+        return out
+
+    def __sub__(self, other: "OperatorSymbol") -> "OperatorSymbol":
+        return self + other.scale(ExactScalar(-1))
+
+    def scale(self, c: ExactScalar) -> "OperatorSymbol":
+        s = OperatorSymbol(self.d, self.dim)
+        for mono, mat in self.terms.items():
+            s._add_term(mono, mat.scale(c))
+        return s
+
+    def left_mul(self, mat: ExactMatrix) -> "OperatorSymbol":
+        """Multiply every coefficient by ``mat`` on the left."""
+        s = OperatorSymbol(self.d, self.dim)
+        for mono, m in self.terms.items():
+            s._add_term(mono, matmul(mat, m))
+        return s
+
+    def right_mul(self, mat: ExactMatrix) -> "OperatorSymbol":
+        s = OperatorSymbol(self.d, self.dim)
+        for mono, m in self.terms.items():
+            s._add_term(mono, matmul(m, mat))
+        return s
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OperatorSymbol):
+            return NotImplemented
+        return (
+            self.d == other.d
+            and self.dim == other.dim
+            and self.terms == other.terms
+        )
+
+    def _check(self, other: "OperatorSymbol") -> None:
+        if self.d != other.d or self.dim != other.dim:
+            raise ValueError("operator symbols live on different spaces")
+
+    def __repr__(self) -> str:
+        return f"OperatorSymbol(d={self.d}, dim={self.dim}, terms={len(self.terms)})"
+
+
+def symbol(model: DiracModel, gen: dict) -> OperatorSymbol:
+    """A {monomial: string} generator as a dense operator symbol."""
+    n = model.dim
+    return OperatorSymbol(
+        model.d, n, {mono: pauli.encode(*s, n) for mono, s in gen.items()}
+    )
+
+
+def dense_transform(sym: OperatorSymbol, cand: SymmetryCandidate) -> OperatorSymbol:
+    """Apply the candidate's coordinate/conjugation calculus to a symbol.
+
+    tau is deliberately not applied; the result is T(G) so that the
+    intertwiner constraint reads tau*T(G) = eps*G*tau.
+    """
+    out = OperatorSymbol(sym.d, sym.dim)
+    for mono, mat in sym.terms.items():
+        m = mat.conj() if cand.antilinear else mat
+        if _term_sign(mono, cand) < 0:
+            m = -m
+        out._add_term(mono, m)
+    return out
+
+
+def dense_verify_tau(
+    model: DiracModel,
+    cand: SymmetryCandidate,
+    tau: ExactMatrix,
+    include_j: bool = True,
+) -> bool:
+    """tau*T(G) - eps*G*tau == 0 by direct symbol algebra, on whole dense
+    generator symbols."""
+    for cls, _, g in model.generators:
+        if not include_j and cls in ("Jkl", "J0k"):
+            continue
+        eps = ExactScalar(cand.eps(cls))
+        sym = symbol(model, g)
+        lhs = dense_transform(sym, cand).left_mul(tau)
+        rhs = sym.right_mul(tau).scale(eps)
+        if not (lhs - rhs).is_zero():
+            return False
+    return True
+
+
+def monomials_span_full_space(gs: GammaSystem) -> bool:
+    """Exact rank check: degree <= d+1 monomials span all matrices."""
+    n = gs.rep_dim
+    mons = monomial_basis(gs, gs.d + 1)
+    rows = []
+    for mon in mons:
+        rows.append(
+            [mon.matrix[i, j] for i in range(n) for j in range(n)]
+        )
+    return rank(rows) == n * n
 
 
 def t_monomial(d: int):
@@ -145,7 +288,7 @@ def _constraint_pairs(model: DiracModel, cand: SymmetryCandidate, include_j: boo
             continue
         eps = cand.eps(cls)
         g = symbol(model, g)
-        tg = transform(g, cand)
+        tg = dense_transform(g, cand)
         monos = sorted(set(g.terms) | set(tg.terms))
         for mono in monos:
             a = coeff(tg, mono)
@@ -447,7 +590,7 @@ def reference_string_rows(model: DiracModel, cand: SymmetryCandidate, include_j:
 
     Every generator coefficient is a string B = lam*P, and its image
     in T(G) is A = lam_A*P with lam_A from the same sign and conjugation
-    rule as ``transform``.  Then S*A = eps*B*S iff
+    rule as ``dense_transform``.  Then S*A = eps*B*S iff
     (-1)^<S,P>*lam_A = eps*lam: one row per (generator, monomial),
     <S,P> = 0 when eps*lam = lam_A, <S,P> = 1 when eps*lam = -lam_A,
     and the contradiction 0 = 1 otherwise.  Returns (rows as (mask, rhs)

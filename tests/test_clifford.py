@@ -14,10 +14,10 @@ from diracsym import (
     pauli,
     system_for,
 )
-from diracsym.clifford import monomials_span_full_space
 from diracsym.exact import I_UNIT
 
 from conftest import kron
+from dense_oracle import monomials_span_full_space
 from gamma_reference import SIGMA1, SIGMA2, SIGMA3, kron_gammas
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from diracsym import ExactMatrix, ExactScalar, OperatorSymbol, doubled, model_for
+from diracsym import ExactMatrix, ExactScalar, doubled, model_for
 from diracsym import models
 from diracsym.exact import I_UNIT
 from diracsym.models import p_monomial, unit_monomial, x_monomial
@@ -14,6 +14,7 @@ from diracsym.symmetry import VARIANTS, model_for_variant
 
 from conftest import block_diag, dense_alphas
 from dense_oracle import (
+    OperatorSymbol,
     coeff,
     commutator,
     dispersion_scalar,
@@ -21,6 +22,7 @@ from dense_oracle import (
     max_var_degree,
     mul,
     square_of_hamiltonian,
+    symbol,
     t_monomial,
 )
 from gamma_reference import kron_gammas
@@ -28,7 +30,7 @@ from gamma_reference import kron_gammas
 
 def generator(model, which, k=0, l=0):
     """The closed-form generator as a dense operator symbol."""
-    return models.symbol(model, models.generator(model, which, k=k, l=l))
+    return symbol(model, models.generator(model, which, k=k, l=l))
 
 
 def _sym(model, mono, mat=None):
