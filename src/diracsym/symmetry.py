@@ -19,12 +19,17 @@ GF(2) (``pauli``) with one row per distinct coefficient string.  A row's
 right-hand side is an integer sign: a coefficient q*i^k*P keeps its
 rational size q under T, so the monomial's sign and, for an antilinear
 S, the parity of k decide it (``_string_rows``).  Exact scalars enter
-only the orbital residuals of identity-string terms.  Dense matrices are
-built only for the solution strings, in the basis an exact nullspace
-computation on the entries of tau would give.  Every string is unitary,
-so a candidate is a symmetry exactly when a solution string exists, and
-the first one is the reported invertible representative: no search over
-the span is needed.
+only the orbital residuals of identity-string terms.  The dense outputs
+are written down from the packed solution strings, with entries +-1 and
+0 only (``_solve_strings``): within one x mask the z masks form z0 + V,
+rows r and r' fall in one class when (r^r').v = 0 for every v in V, and
+each class is one basis matrix, signed relative to its last row.  That
+is the basis an exact RREF of the dense strings gives, with no
+elimination, rescaling or product.  Every string is unitary, so a
+candidate is a symmetry exactly when a solution string exists, and the
+first one is the reported invertible representative: no search over the
+span is needed.  Only the clifford2 ansatz still eliminates exactly, in
+span coordinates, for its basis.
 
 ``verify_tau`` re-checks any dense tau by a second route: it expands tau
 in strings (``pauli.expand``) and multiplies it with every coefficient of
@@ -41,6 +46,7 @@ from .clifford import CliffordMonomial, monomial_basis
 from .exact import (
     ExactMatrix,
     ExactScalar,
+    MINUS_ONE,
     ONE,
     ZERO,
     _Rref,
@@ -224,50 +230,59 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     return list(rows), inconsistencies
 
 
-def _last_pivot_basis(mats: list) -> list:
-    """The basis ``nullspace_from_rref`` gives for the span of ``mats``.
+def _signed_string(n: int, x: int, signs) -> ExactMatrix:
+    """The n x n matrix with entry -1 or +1 at (r, r^x) for each (r, negative)
+    in signs, and zero elsewhere: the shared scalars, no arithmetic."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for r, negative in signs:
+        rows[r][r ^ x] = MINUS_ONE if negative else ONE
+    return ExactMatrix._make(rows)
 
-    That basis is the reduced echelon form that pivots on each vector's
-    last nonzero entry (row-major), pivots scaled to 1, sorted by pivot:
-    elimination on the reversed entry order.
+
+def _solve_strings(strings: list, nq: int):
+    """The basis of the span of the solution strings, and the representative,
+    in closed form: the basis an exact RREF of the dense strings gives when
+    it pivots on each matrix's last nonzero entry (row-major), with pivots
+    scaled to 1 and the basis sorted by pivot.
+
+    Strings with distinct x masks have disjoint supports.  Within one x, the
+    z masks form z0 + V, and X^x Z^z has entry (-1)^|(r^x)&z| at (r, r^x),
+    so the group spans (-1)^|(r^x)&z0| times the functions of r that are
+    constant on the classes r ~ r' of (r^r').v = 0 for every v in V.  The
+    masks z^z0 span V, so they decide the classes as a GF(2) basis of V
+    would.  Each class K gives one basis matrix, with entry
+    (-1)^|(r^r_max)&z0| at (r, r^x) for r in K, r_max the largest row of K
+    (its pivot).  The representative is basis[0] taken relative to r_min
+    instead, so that its first nonzero entry is 1.
     """
-    if not mats:
-        return []
-    n = mats[0].dim
-    last = n * n - 1
-    rref = _Rref()
-    for m in mats:
-        rref.add_row(
-            {
-                last - (i * n + j): v
-                for i, r in enumerate(m.rows)
-                for j, v in enumerate(r)
-                if v
-            }
-        )
-    basis = []
-    for p in sorted(rref.pivots, reverse=True):
-        rows = [[ZERO] * n for _ in range(n)]
-        for c, v in rref.pivots[p].items():
-            i, j = divmod(last - c, n)
-            rows[i][j] = v
-        basis.append(ExactMatrix._make(rows))
-    return basis
-
-
-def _solve_strings(model: DiracModel, rows):
-    """Basis of the full solution space, and its lowest solution string
-    (``solve_affine`` lists them in increasing order)."""
-    n = model.dim
-    nq = pauli.qubits(n)
-    strings = pauli.solve_affine(rows, 2 * nq)
-    mats = [pauli.encode(ONE, *pauli.unpack(s, nq), n) for s in strings]
-    return _last_pivot_basis(mats), (mats[0] if mats else None)
+    n = 1 << nq
+    groups = {}
+    for s in strings:
+        x, z = pauli.unpack(s, nq)
+        groups.setdefault(x, []).append(z)
+    classes = []  # (pivot, x, z0, rows of the class in increasing order)
+    for x, zs in groups.items():
+        z0 = zs[0]
+        by_key = {}
+        for r in range(n):
+            key = tuple(pauli.parity(r & (z ^ z0)) for z in zs)
+            by_key.setdefault(key, []).append(r)
+        classes += [(k[-1] * n + (k[-1] ^ x), x, z0, k) for k in by_key.values()]
+    classes.sort()
+    basis = [
+        _signed_string(n, x, ((r, pauli.parity((r ^ k[-1]) & z0)) for r in k))
+        for _, x, z0, k in classes
+    ]
+    if not classes:
+        return basis, None
+    _, x, z0, k = classes[0]
+    rep = _signed_string(n, x, ((r, pauli.parity((r ^ k[0]) & z0)) for r in k))
+    return basis, rep
 
 
 def _solve_span(model: DiracModel, rows, span: list):
     """Solutions tau = sum_s c_s span[s] for a span of gamma monomials,
-    and the first span member that is a solution string.
+    and the packed string of the first span member that solves it.
 
     tau solves the equation iff its component on every string outside
     the solution set vanishes: one span-coordinate row per such string.
@@ -283,7 +298,7 @@ def _solve_span(model: DiracModel, rows, span: list):
     for string, row in by_string.items():
         if all(pauli.parity(string & mask) == rhs for mask, rhs in rows):
             if first_string is None:
-                first_string = span[min(row)].matrix
+                first_string = string
         else:
             rref.add_row(row)
     basis = []
@@ -321,8 +336,14 @@ def solve_tau(
 ) -> TauSolution:
     """Solve the intertwiner equation of one candidate exactly.
 
-    The invertible representative is the first solution string, scaled
-    so its first nonzero entry is 1; None when there is none.
+    The full ansatz reads every output off the packed solution strings
+    (``_solve_strings``), with no elimination, rescaling or product; the
+    clifford2 ansatz eliminates in span coordinates for its basis only.
+    The invertible representative is the first solution string X^x Z^z
+    scaled so its first nonzero entry is 1, that is Z^z X^x, with entry
+    (-1)^|r&z| at (r, r^x); None when there is none.  On a line, the
+    square phase is (X^x Z^z)^2 = (-1)^|x&z|, for an antilinear S too:
+    the string is real, so tau*conj(tau) = tau^2.
     """
     if ansatz == "full":
         span = None
@@ -331,16 +352,22 @@ def solve_tau(
     else:
         raise ValueError(f"unknown ansatz mode: {ansatz}")
     rows, inconsistencies = _string_rows(model, cand, include_j)
+    n = model.dim
+    nq = pauli.qubits(n)
     if span is None:
-        basis, first_string = _solve_strings(model, rows)
+        strings = pauli.solve_affine(rows, 2 * nq)
+        basis, representative = _solve_strings(strings, nq)
+        first_string = strings[0] if strings else None
     else:
         basis, first_string = _solve_span(model, rows, span)
-    representative = _normalize(basis[0]) if basis else None
-    invertible = None if first_string is None else _normalize(first_string)
-    phase = None
-    if len(basis) == 1 and invertible is not None:
-        sq = invertible @ (invertible.conj() if cand.antilinear else invertible)
-        phase = sq.scalar_multiple_of_identity()
+        representative = _normalize(basis[0]) if basis else None
+    invertible = phase = None
+    if first_string is not None:
+        x, z = pauli.unpack(first_string, nq)
+        signs = ((r, pauli.parity(r & z)) for r in range(n))
+        invertible = _signed_string(n, x, signs)
+        if len(basis) == 1:
+            phase = MINUS_ONE if pauli.parity(x & z) else ONE
     return TauSolution(
         candidate=cand,
         d=model.d,

@@ -39,6 +39,10 @@ reordering with [x_k, p_l] = i*delta_kl; ``commutator``, ``coeff``,
 ``square_of_hamiltonian`` and ``dispersion_scalar`` square the symbol of
 H and read off the scalar symbol of H^2.
 
+``_last_pivot_basis`` is the engine's former full-ansatz basis: an
+exact RREF of the dense solution strings, which the engine now writes
+down in closed form.
+
 ``monomials_span_full_space`` checks by an exact rank that the gamma
 monomials of degree <= d+1 span every matrix.
 
@@ -379,6 +383,38 @@ def _solve_span(model, pairs, span):
 
 
 _COMBO_WEIGHTS = (0, 1, -1, 2, -2)
+
+
+def _last_pivot_basis(mats: list) -> list:
+    """The basis ``nullspace_from_rref`` gives for the span of ``mats``.
+
+    That basis is the reduced echelon form that pivots on each vector's
+    last nonzero entry (row-major), pivots scaled to 1, sorted by pivot:
+    elimination on the reversed entry order.  The engine writes it down in
+    closed form from the solution strings (``symmetry._solve_strings``).
+    """
+    if not mats:
+        return []
+    n = mats[0].dim
+    last = n * n - 1
+    rref = _Rref()
+    for m in mats:
+        rref.add_row(
+            {
+                last - (i * n + j): v
+                for i, r in enumerate(m.rows)
+                for j, v in enumerate(r)
+                if v
+            }
+        )
+    basis = []
+    for p in sorted(rref.pivots, reverse=True):
+        rows = [[ZERO] * n for _ in range(n)]
+        for c, v in rref.pivots[p].items():
+            i, j = divmod(last - c, n)
+            rows[i][j] = v
+        basis.append(ExactMatrix._make(rows))
+    return basis
 
 
 def invertible_element(basis: list):

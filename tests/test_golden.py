@@ -66,6 +66,25 @@ def test_golden_spectra_are_byte_identical(tmp_path, d):
     assert verify_certificate(json.loads(golden.read_text()))
 
 
+# solve-tau emits the whole basis, where a classify row holds only
+# representatives: a two-row class basis, an antilinear -1 square phase and
+# a linear +1 one
+SOLVE_TAU = {
+    "solve_tau_d6_doubled_Tw": "--dim 6 --variant doubled --mass 5/3 --symmetry Tw",
+    "solve_tau_d4_massless_C": "--dim 4 --variant massless --symmetry C",
+    "solve_tau_d8_single_P": "--dim 8 --variant single --mass 3/7 --symmetry P",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_TAU))
+def test_golden_solve_tau_is_byte_identical(tmp_path, name):
+    out = tmp_path / f"{name}.json"
+    assert main(["solve-tau", *SOLVE_TAU[name].split(), "--out", str(out)]) == 0
+    golden = GOLDEN / f"{name}.json"
+    assert out.read_bytes() == golden.read_bytes()
+    assert verify_certificate(json.loads(golden.read_text()))
+
+
 @pytest.mark.parametrize("d", [4, 8])
 def test_golden_gammas_are_byte_identical(tmp_path, d):
     out = tmp_path / f"gamma_d{d}.json"

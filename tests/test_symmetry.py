@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracsym import (
     CANDIDATES,
@@ -18,8 +20,8 @@ from diracsym import (
     solve_tau,
     verify_tau,
 )
-from diracsym import models, symmetry
-from diracsym.exact import _Rref, nullspace_from_rref
+from diracsym import certificate, exact, models, pauli, symmetry
+from diracsym.exact import ONE, _Rref, nullspace_from_rref
 from diracsym.symmetry import (
     C,
     PARITY,
@@ -35,7 +37,7 @@ from diracsym.symmetry import (
 )
 
 from conftest import block_antidiag, block_diag, dense_alphas, proj_equal
-from dense_oracle import _constraint_pairs, invertible_element
+from dense_oracle import _constraint_pairs, _last_pivot_basis, invertible_element
 from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
 
@@ -222,7 +224,9 @@ class TestSolverSoundness:
 
     def test_every_invertible_representative_is_unitary(self):
         # the representative is a solution string scaled to a unit first
-        # entry, so it is unitary, and on a line its square is +-1
+        # entry, so it is unitary, and on a line its square is +-1.
+        # verify_tau accepts zero and singular matrices, so these dense
+        # checks are what tells a broken representative from a good one.
         sols = [
             solve_tau(model_for_variant(d, v), CANDIDATES[name], variant=v)
             for d in (2, 4, 6, 8)
@@ -231,7 +235,7 @@ class TestSolverSoundness:
         ]
         sols += [
             solve_tau(model_for_variant(d, v), CANDIDATES[name], "clifford2", variant=v)
-            for d in (2, 4, 6)
+            for d in (2, 4, 6, 8)
             for v in ("single", "single-", "massless")
             for name in CLASSIFY_ORDER
         ]
@@ -243,6 +247,12 @@ class TestSolverSoundness:
             assert rep @ rep.dagger() == ExactMatrix.identity(rep.dim), key
             if sol.dim == 1:
                 assert sol.square_phase in (ExactScalar(1), ExactScalar(-1)), key
+                tau = sol.representative
+                assert tau == rep, key
+                square = tau @ (tau.conj() if sol.candidate.antilinear else tau)
+                assert sol.square_phase == square.scalar_multiple_of_identity(), key
+            else:
+                assert sol.square_phase is None, key
 
     def test_random_perturbed_matrix_fails_verification(self):
         model = model_for(4, mass=1)
@@ -250,6 +260,71 @@ class TestSolverSoundness:
         tau = sol.invertible_representative
         bad = tau + ExactMatrix.identity(model.dim).scale(ExactScalar(Fraction(1, 5)))
         assert not verify_tau(model, TW, bad)
+
+
+def _oracle_basis(strings, nq):
+    n = 1 << nq
+    mats = [pauli.encode(ONE, *pauli.unpack(s, nq), n) for s in strings]
+    return _last_pivot_basis(mats)
+
+
+class TestClosedFormBasis:
+    """The full-ansatz basis is written down from the solution strings; the
+    oracle eliminates their dense encodings exactly."""
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+    def test_basis_matches_last_pivot_elimination(self, d):
+        for v in VARIANTS:
+            model = model_for_variant(d, v)
+            nq = pauli.qubits(model.dim)
+            for name, cand in CANDIDATES.items():
+                rows, _ = symmetry._string_rows(model, cand, True)
+                want = _oracle_basis(pauli.solve_affine(rows, 2 * nq), nq)
+                sol = solve_tau(model, cand, variant=v)
+                assert _dumps(sol.basis) == _dumps(want), (v, name)
+                rep = _normalize(want[0]) if want else None
+                assert _dumps([sol.representative]) == _dumps([rep]), (v, name)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.integers(0, 4),
+        rows=st.lists(st.tuples(st.integers(0, 255), st.integers(0, 1)), max_size=9),
+    )
+    @example(q=4, rows=[])  # every string
+    @example(q=4, rows=[(1 << b, b & 1) for b in range(8)])  # one string
+    @example(q=3, rows=[(1, 0), (1, 1)])  # no string
+    @example(q=2, rows=[(0b1010, 1)])  # two classes per x mask
+    def test_random_affine_string_sets(self, q, rows):
+        rows = [(mask & ((1 << 2 * q) - 1), rhs) for mask, rhs in rows]
+        strings = pauli.solve_affine(rows, 2 * q)
+        basis, rep = symmetry._solve_strings(strings, q)
+        want = _oracle_basis(strings, q)
+        assert _dumps(basis) == _dumps(want)
+        assert _dumps([rep]) == _dumps([_normalize(want[0]) if want else None])
+
+    def test_full_ansatz_makes_no_dense_arithmetic(self, monkeypatch):
+        cells = [
+            (model_for_variant(8, v), v, cand)
+            for v in VARIANTS
+            for cand in CANDIDATES.values()
+        ]
+
+        def dump():
+            return [
+                json.dumps(certificate.tau_solution_json(solve_tau(m, c, variant=v)))
+                for m, v, c in cells
+            ]
+
+        want = dump()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense arithmetic in a full-ansatz solve")
+
+        monkeypatch.setattr(exact._Rref, "add_row", refuse)
+        monkeypatch.setattr(exact, "matmul", refuse)
+        monkeypatch.setattr(ExactMatrix, "scale", refuse)
+        monkeypatch.setattr(ExactMatrix, "scalar_multiple_of_identity", refuse)
+        assert dump() == want
 
 
 class TestCandidateCalculus:
@@ -299,6 +374,33 @@ class TestAnsatzModes:
             assert _dumps([sol.representative, sol.invertible_representative]) == (
                 _dumps(reps)
             ), name
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            pytest.param(
+                2,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="clifford2 at d = 2 solves in monomial coordinates, and "
+                    "its 7 monomials hold only 4 strings, so the basis holds zero "
+                    "matrices (the FOUND line on clifford2 at d = 2 in CHANGES.md); "
+                    "perfbench/expected.json stores these d = 2 dims, so the fix "
+                    "waits for the next benchmark change (ROADMAP item 1)",
+                ),
+            ),
+            4,
+            6,
+        ],
+    )
+    def test_clifford2_basis_is_nonzero_and_independent(self, d):
+        for v in ("single", "single-", "massless"):
+            model = model_for_variant(d, v)
+            for name in CLASSIFY_ORDER:
+                sol = solve_tau(model, CANDIDATES[name], "clifford2", variant=v)
+                assert not any(b.is_zero() for b in sol.basis), (v, name)
+                flat = [[a for row in b.rows for a in row] for b in sol.basis]
+                assert exact.rank(flat) == sol.dim, (v, name)
 
     def test_unknown_ansatz_rejected(self):
         with pytest.raises(ValueError):
