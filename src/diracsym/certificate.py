@@ -141,7 +141,13 @@ def pretty_dumps(obj, nl: str = "\n") -> str:
     str-keyed trees: the file format of certificates.  ``json`` encodes
     any indent in pure Python; this lays out the lines directly and
     leaves strings to json's C escaper.  ``nl`` is the line break and
-    indentation in front of ``obj``."""
+    indentation in front of ``obj``.
+
+    Within one list, each distinct item object is rendered once: the
+    rows of ``ExactMatrix.to_json`` share their entry dicts, so a
+    matrix row costs one rendering per distinct scalar.  The memo is
+    local to the list, whose items all sit at one indentation and stay
+    alive while it is rendered, so the object's id is the whole key."""
     if isinstance(obj, str):
         return _escape(obj)
     inner = nl + "  "
@@ -152,7 +158,11 @@ def pretty_dumps(obj, nl: str = "\n") -> str:
         if all(isinstance(x, str) for x in obj):
             items = map(_escape, obj)
         else:
-            items = [pretty_dumps(x, inner) for x in obj]
+            memo = {}
+            items = [
+                memo.get(id(x)) or memo.setdefault(id(x), pretty_dumps(x, inner))
+                for x in obj
+            ]
         return "[" + inner + ("," + inner).join(items) + nl + "]" if obj else "[]"
     return json.dumps(obj)
 

@@ -313,7 +313,21 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
     def to_json(self) -> list:
-        return [[a.to_json() for a in r] for r in self.rows]
+        """Entries in the interchange scalar format, row by row.
+
+        Entries that are one scalar object share one dict, so each
+        distinct object is converted once (a solver or gamma matrix
+        repeats a few shared scalars such as ``ZERO``, ``ONE`` and
+        ``MINUS_ONE``); equal scalars that are different objects get
+        their own dicts.  The tree equals the per-entry form by ``==``
+        and by ``json.dumps`` bytes.  Treat it as read-only: mutating
+        one shared dict changes every entry that shares it.
+        """
+        memo = {}
+        return [
+            [memo.get(id(a)) or memo.setdefault(id(a), a.to_json()) for a in r]
+            for r in self.rows
+        ]
 
     @classmethod
     def from_json(cls, obj: Sequence) -> "ExactMatrix":

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracsym import model_for, solve_tau, system_for, verify_certificate
+from diracsym import ExactMatrix, ExactScalar, model_for, solve_tau, system_for, verify_certificate
 from diracsym.certificate import (
     FLAGS,
     classification_json,
@@ -19,6 +19,7 @@ from diracsym.certificate import (
     pretty_dumps,
     tau_solution_json,
 )
+from diracsym.cli import main
 from diracsym.symmetry import TW, classify
 
 
@@ -104,26 +105,70 @@ _LEAVES = (
     | st.none()
     | st.floats()
 )
-_TREES = st.recursive(
-    _LEAVES,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.lists(_TEXT, max_size=4)
-    | st.dictionaries(_TEXT, inner, max_size=4),
-    max_leaves=20,
-)
+
+
+def _branches(inner):
+    return (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(_TEXT, max_size=4)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    )
+
+
+_TREES = st.recursive(_LEAVES, _branches, max_leaves=20)
+
+
+@st.composite
+def _aliased_trees(draw):
+    """A tree holding one subtree object at several places: twice in one
+    list, and again at other depths, as matrix rows share entry dicts."""
+    shared = draw(_TREES)
+    tree = draw(st.recursive(_LEAVES | st.just(shared), _branches, max_leaves=20))
+    return [shared, tree, shared, [shared], {"k": shared}]
+
+
+_E = {"re": ["1", "1"], "im": ["0", "1"]}
 
 
 @settings(max_examples=200, deadline=None)
-@given(_TREES)
+@given(_TREES | _aliased_trees())
 @example(([],))
 @example({"a": (), "b": {}, "": [[]]})
 @example(["a", ("b",), 10**100, -0.0])
+@example([_E, _E, [_E], {"k": _E}])
 def test_pretty_dumps_is_json_indent_2_sorted(obj):
     assert pretty_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_pretty_dumps_writes_the_golden_bytes():
-    for d in (2, 4, 6, 8):
-        text = (pathlib.Path(__file__).parent / "golden" / f"classify_d{d}.json").read_text()
-        assert pretty_dumps(json.loads(text)) + "\n" == text, d
+    paths = sorted((pathlib.Path(__file__).parent / "golden").glob("*.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        assert pretty_dumps(json.loads(text)) + "\n" == text, path.name
+
+
+def test_solve_tau_certificate_converts_each_entry_object_once(tmp_path, monkeypatch):
+    # every entry of a d = 8 doubled matrix (32 x 32) is ZERO, ONE or
+    # MINUS_ONE, so each matrix converts at most three scalars
+    real_scalar, real_matrix = ExactScalar.to_json, ExactMatrix.to_json
+    calls, per_matrix = [], []
+
+    def counting(a):
+        calls.append(a)
+        return real_scalar(a)
+
+    def tracking(m):
+        start = len(calls)
+        out = real_matrix(m)
+        per_matrix.append((len(calls) - start, len({id(a) for r in m.rows for a in r})))
+        return out
+
+    monkeypatch.setattr(ExactScalar, "to_json", counting)
+    monkeypatch.setattr(ExactMatrix, "to_json", tracking)
+    out = tmp_path / "st.json"
+    argv = ["solve-tau", "--dim", "8", "--variant", "doubled", "--symmetry", "Tw"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert per_matrix
+    assert all(made <= distinct for made, distinct in per_matrix), per_matrix

@@ -289,3 +289,31 @@ class TestZeroAwareKernels:
     def test_cancelling_products_match_schoolbook(self, pair):
         a, b = pair
         assert_same(matmul(a, b), ref_matmul(a, b))
+
+
+@st.composite
+def pooled_matrices(draw):
+    """A matrix whose entries repeat a few scalar objects, as a solver
+    matrix repeats ZERO, ONE and MINUS_ONE, mixed with fresh objects of
+    equal value."""
+    n = draw(st.sampled_from([1, 2, 4, 8]))
+    pool = draw(
+        st.lists(st.sampled_from([ZERO, ONE, MINUS_ONE]) | scalars(), min_size=1, max_size=4)
+    )
+
+    def entry():
+        a = draw(st.sampled_from(pool))
+        return ExactScalar._make(a.re, a.im) if draw(st.booleans()) else a
+
+    return ExactMatrix._make([[entry() for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=pooled_matrices())
+def test_to_json_shares_one_dict_per_entry_object(m):
+    got = m.to_json()
+    assert json.dumps(got) == json.dumps([[a.to_json() for a in r] for r in m.rows])
+    # entries are one object exactly when their dicts are one object
+    pairs = {(id(a), id(j)) for r, jr in zip(m.rows, got) for a, j in zip(r, jr)}
+    assert len(pairs) == len({a for a, _ in pairs}) == len({j for _, j in pairs})
+    assert ExactMatrix.from_json(got) == m
