@@ -84,20 +84,46 @@ class DiracModel:
         return pauli.encode(*self.beta_string, self.dim)
 
     @cached_property
+    def generating_set(self) -> list:
+        """P0, the d momenta and the d boosts J0k, as (class, label,
+        {monomial: string}) in that order.  They generate P(1,d): each
+        rotation Jkl is a real multiple of i[J0k, J0l].  Built once per
+        model."""
+        d = self.d
+        return [
+            ("P0", "P0", generator(self, "P0")),
+            *(("Pk", f"P{k}", generator(self, "Pk", k=k)) for k in range(1, d + 1)),
+            *(("J0k", f"J0{k}", generator(self, "J0k", k=k)) for k in range(1, d + 1)),
+        ]
+
+    @cached_property
     def generators(self) -> list:
         """Every generator as (class, label, {monomial: string}), grouped
         by class in a fixed order: P0, the d momenta, the d(d-1)/2
-        rotations Jkl (k < l), the d boosts.  Built once per model."""
+        rotations Jkl (k < l), the d boosts.  Built once per model; all
+        but the rotations are the dicts of ``generating_set``."""
         d = self.d
-        gens = [("P0", "P0", generator(self, "P0"))]
-        for k in range(1, d + 1):
-            gens.append(("Pk", f"P{k}", generator(self, "Pk", k=k)))
-        for k in range(1, d + 1):
-            for l in range(k + 1, d + 1):
-                gens.append(("Jkl", f"J{k}{l}", generator(self, "Jkl", k=k, l=l)))
-        for k in range(1, d + 1):
-            gens.append(("J0k", f"J0{k}", generator(self, "J0k", k=k)))
-        return gens
+        gens = self.generating_set
+        rotations = [
+            ("Jkl", f"J{k}{l}", generator(self, "Jkl", k=k, l=l))
+            for k in range(1, d + 1)
+            for l in range(k + 1, d + 1)
+        ]
+        return [*gens[: d + 1], *rotations, *gens[d + 1 :]]
+
+    @cached_property
+    def _coefficient_strings(self) -> tuple:
+        """(-alpha_j for j = 1..d, (i/2)*alpha_k for k = 1..d, bm*beta,
+        -bm*beta) with bm = branch*mass, the beta pair None when the mass
+        is 0: every scaled string of P0 and the boosts, each computed once
+        per model."""
+        alphas = self.gamma.alpha
+        neg_alphas = tuple(map(_neg, alphas))
+        half_i_alphas = tuple(_times(_HALF_I, a) for a in alphas)
+        if not self.mass:
+            return neg_alphas, half_i_alphas, None, None
+        bm_beta = _times(ExactScalar(self.branch * self.mass), self.beta_string)
+        return neg_alphas, half_i_alphas, bm_beta, _neg(bm_beta)
 
     def hamiltonian_strings(self, p) -> list:
         """The terms (c, x, z) of H(p) for a rational momentum vector p of
@@ -165,15 +191,17 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
 
     J0k is t*p_k - x_k*H + (i/2)*alpha_k, the symmetrized boost
     t*p_k - (x_k*H + H*x_k)/2 reordered with [x_k, p_l] = i*delta_kl.
-    The alpha strings are the ones the gamma system holds; the only
-    string product is alpha_l*alpha_k in Jkl.
+    The alpha strings are the ones the gamma system holds, and P0 and
+    J0k take their scaled strings from the model
+    (``DiracModel._coefficient_strings``), so building them does no
+    scalar arithmetic; the only string product is alpha_l*alpha_k in Jkl.
     """
     d = model.d
-    alphas = model.gamma.alpha
     if which == "P0":
-        gen = {p_monomial(d, j): a for j, a in enumerate(alphas, start=1)}
-        if model.mass:
-            gen[unit_monomial(d)] = _bm_beta(model)
+        gen = {p_monomial(d, j): a for j, a in enumerate(model.gamma.alpha, start=1)}
+        bm_beta = model._coefficient_strings[2]
+        if bm_beta is not None:
+            gen[unit_monomial(d)] = bm_beta
         return gen
     if which == "Pk":
         _check_index(k, d)
@@ -183,6 +211,7 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
         _check_index(l, d)
         if k == l:
             raise ValueError("Jkl needs two distinct spatial indices")
+        alphas = model.gamma.alpha
         return {
             _mono_xp(d, k, l): _IDENTITY,
             _mono_xp(d, l, k): (MINUS_ONE, 0, 0),
@@ -190,18 +219,15 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
         }
     if which == "J0k":
         _check_index(k, d)
+        neg_alphas, half_i_alphas, _, neg_bm_beta = model._coefficient_strings
         gen = {(1, *p_monomial(d, k)[1:]): _IDENTITY}
-        for j, a in enumerate(alphas, start=1):
-            gen[_mono_xp(d, k, j)] = _neg(a)
-        if model.mass:
-            gen[x_monomial(d, k)] = _neg(_bm_beta(model))
-        gen[unit_monomial(d)] = _times(_HALF_I, alphas[k - 1])
+        for j, a in enumerate(neg_alphas, start=1):
+            gen[_mono_xp(d, k, j)] = a
+        if neg_bm_beta is not None:
+            gen[x_monomial(d, k)] = neg_bm_beta
+        gen[unit_monomial(d)] = half_i_alphas[k - 1]
         return gen
     raise ValueError(f"unknown generator kind: {which}")
-
-
-def _bm_beta(model: DiracModel) -> tuple:
-    return _times(ExactScalar(model.branch * model.mass), model.beta_string)
 
 
 def _mono_xp(d: int, xk: int, pl: int) -> Monomial:

@@ -18,8 +18,13 @@ and the strings that solve it are the solutions of an affine system over
 GF(2) (``pauli``) with one row per distinct coefficient string.  A row's
 right-hand side is an integer sign: a coefficient q*i^k*P keeps its
 rational size q under T, so the monomial's sign and, for an antilinear
-S, the parity of k decide it (``_string_rows``).  Exact scalars enter
-only the orbital residuals of identity-string terms.  The dense outputs
+S, the parity of k decide it (``_string_rows``).  The rotations are
+brackets of boosts, Jkl = i[J0k, J0l], so when eps(Jkl) =
+(-1)^antilinear, as for every built-in candidate, the rows are read
+from the generating set P0, Pk, J0k alone (``DiracModel.generating_set``),
+with the d + 2 strings I, beta and alpha_j, and no rotation is built.
+Exact scalars enter only the orbital residuals of identity-string
+terms.  The dense outputs
 are written down from the packed solution strings, with entries +-1 and
 0 only (``_solve_strings``): within one x mask the z masks form z0 + V,
 rows r and r' fall in one class when (r^r').v = 0 for every v in V, and
@@ -33,8 +38,10 @@ span coordinates, for its basis.
 
 ``verify_tau`` re-checks any dense tau by a second route: it expands tau
 in strings (``pauli.expand``) and multiplies it with every coefficient of
-T(G) and of G, with no row system.  The tests keep a dense form of the
-same check (``dense_verify_tau``) as its oracle.
+T(G) and of G, for every generator, Jkl included, with no row system.
+It checks the linear equation only, so it does not decide existence.
+The tests keep a dense form of the same check (``dense_verify_tau``) as
+its oracle.
 """
 
 from __future__ import annotations
@@ -186,6 +193,13 @@ class TauSolution:
         return self.invertible_representative is not None
 
 
+def _reads_generating_set(cand: SymmetryCandidate) -> bool:
+    """True when eps(Jkl) = (-1)^antilinear: the rotation rows then follow
+    from the boost rows (``_string_rows``).  Every candidate in
+    ``CANDIDATES`` obeys it, and a composite of two that do obeys it too."""
+    return cand.eps("Jkl") == (-1 if cand.antilinear else 1)
+
+
 def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
@@ -200,17 +214,36 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     contradiction 0 = 1.  Each distinct (mask, rhs) is emitted once, in
     first-seen order.
 
+    The rows come from the generating set P0, Pk, J0k
+    (``DiracModel.generating_set``) when S obeys
+    eps(Jkl) = (-1)^antilinear, and from every generator otherwise;
+    ``include_j=False`` reads P0 and Pk only.  The rotations are brackets
+    of boosts, Jkl = i[J0k, J0l], and T is an automorphism of the
+    normal-ordered algebra, conjugate-linear when S is antilinear:
+    T(AB) = T(A)T(B) and T(i*A) = (-1)^antilinear*i*T(A).
+    So a tau with tau*T(J0k) = eps*J0k*tau for every k has
+    tau*T(Jkl) = (-1)^antilinear*eps^2*Jkl*tau, and under the rule the
+    Jkl rows hold on every solution of the others: they remove no
+    solution string.  Their identity-string terms +-x_k p_l carry the
+    real coefficient +-1 and the sign x_sign*p_sign = (-1)^antilinear, so
+    r = eps and their right-hand side is 0: they add no orbital
+    inconsistency either.
+
     Returns (rows as (mask, rhs) pairs, orbital inconsistencies).  An
     inconsistency is an identity-string term whose row fails; only there
     is the exact residual lam_A - eps*lam computed.
     """
     nq = pauli.qubits(model.dim)
     antilinear = cand.antilinear
+    if not include_j:
+        gens = [g for g in model.generating_set if g[0] != "J0k"]
+    elif _reads_generating_set(cand):
+        gens = model.generating_set
+    else:
+        gens = model.generators
     rows = {}
     inconsistencies = []
-    for cls, label, g in model.generators:
-        if not include_j and cls in ("Jkl", "J0k"):
-            continue
+    for cls, label, g in gens:
         eps = cand.eps(cls)
         for mono in sorted(g):
             lam, x, z = g[mono]
@@ -398,7 +431,14 @@ def verify_tau(
     generators, the monomial signs and the string product with the
     solver.  It builds no GF(2) row (``_string_rows``) and solves no
     affine system, so a fault in the solver's sign rule or elimination
-    cannot hide in its own re-check.
+    cannot hide in its own re-check.  It reads every generator
+    (``DiracModel.generators``), the rotations Jkl included, which the
+    solver skips for a candidate with eps(Jkl) = (-1)^antilinear.
+
+    The equation is linear, so a zero or singular tau passes too: True
+    says tau intertwines, not that it is a symmetry.  Existence rests on
+    the reported invertible representative being one string, hence
+    unitary (``solve_tau``).
     """
     if tau.dim != model.dim:
         raise ValueError(

@@ -49,8 +49,10 @@ monomials of degree <= d+1 span every matrix.
 ``reference_string_rows`` is the engine's row builder as it stood
 before rows were decided by integer signs: one row per (generator,
 monomial) with duplicates kept, each sign decided by exact scalar
-comparisons.  The fast builder must give the same row set, solutions
-and orbital inconsistencies.
+comparisons.  It reads every generator, Jkl included, where the engine
+reads only the generating set P0, Pk, J0k for a candidate with
+eps(Jkl) = (-1)^antilinear.  The fast builder's rows must lie among its
+rows and give the same solutions and orbital inconsistencies.
 """
 
 import itertools
@@ -621,7 +623,9 @@ def dispersion_scalar(model: DiracModel) -> OperatorSymbol | None:
     return out
 
 
-def reference_string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
+def reference_string_rows(
+    model: DiracModel, cand: SymmetryCandidate, include_j: bool, generators=None
+):
     """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
     Every generator coefficient is a string B = lam*P, and its image
@@ -629,13 +633,15 @@ def reference_string_rows(model: DiracModel, cand: SymmetryCandidate, include_j:
     rule as ``dense_transform``.  Then S*A = eps*B*S iff
     (-1)^<S,P>*lam_A = eps*lam: one row per (generator, monomial),
     <S,P> = 0 when eps*lam = lam_A, <S,P> = 1 when eps*lam = -lam_A,
-    and the contradiction 0 = 1 otherwise.  Returns (rows as (mask, rhs)
-    pairs, orbital inconsistencies).
+    and the contradiction 0 = 1 otherwise.  The rows come from
+    ``generators``, every generator of the model by default, Jkl
+    included.  Returns (rows as (mask, rhs) pairs, orbital
+    inconsistencies).
     """
     nq = pauli.qubits(model.dim)
     rows = []
     inconsistencies = []
-    for cls, label, g in model.generators:
+    for cls, label, g in model.generators if generators is None else generators:
         if not include_j and cls in ("Jkl", "J0k"):
             continue
         eps = ExactScalar(cand.eps(cls))

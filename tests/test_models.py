@@ -144,6 +144,45 @@ class TestHamiltonianAndGenerators:
                 spin = (alphas[l - 1] @ alphas[k - 1]).scale(half_i)
                 assert coeff(generator(m, "Jkl", k=k, l=l), unit_monomial(d)) == spin
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rotations_are_brackets_of_boosts(self, d, variant):
+        # Jkl = i[J0k, J0l], the identity behind the solver's generating set
+        m = model_for_variant(d, variant, mass=Fraction(3, 7))
+        i_unit = ExactScalar(0, 1)
+        for k in range(1, d + 1):
+            for l in range(k + 1, d + 1):
+                bracket = commutator(generator(m, "J0k", k=k), generator(m, "J0k", k=l))
+                jkl = generator(m, "Jkl", k=k, l=l)
+                assert (bracket.scale(i_unit) - jkl).is_zero(), (k, l)
+
+    def test_generators_extend_the_generating_set(self):
+        d = 6
+        m = model_for(d)
+        gens, gs = m.generators, m.generating_set
+        classes = ["P0"] + ["Pk"] * d + ["Jkl"] * (d * (d - 1) // 2) + ["J0k"] * d
+        assert [g[0] for g in gens] == classes
+        assert [g[0] for g in gs] == ["P0"] + ["Pk"] * d + ["J0k"] * d
+        rest = [g for g in gens if g[0] != "Jkl"]
+        assert len(rest) == len(gs)
+        assert all(a[1] == b[1] and a[2] is b[2] for a, b in zip(rest, gs))
+
+    def test_boosts_and_p0_do_no_scalar_arithmetic(self, monkeypatch):
+        # their scaled strings are computed once per model; the values
+        # are checked against the dense oracle above
+        def refuse(*args):
+            raise AssertionError("scalar arithmetic in a generator")
+
+        for mass in (0, Fraction(3, 7)):
+            m = model_for(8, mass=mass, branch=-1)
+            m._coefficient_strings
+            with monkeypatch.context() as mp:
+                for name in ("__mul__", "__neg__", "__add__", "__sub__"):
+                    mp.setattr(ExactScalar, name, refuse)
+                models.generator(m, "P0")
+                for k in range(1, 9):
+                    models.generator(m, "J0k", k=k)
+
     def test_generator_symbols_are_affine_in_each_variable(self):
         m = model_for(4)
         for g in ("P0", "Pk", "Jkl", "J0k"):

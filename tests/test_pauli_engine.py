@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from diracsym.symmetry import (
     PARITY,
     TW,
     VARIANTS,
+    SymmetryCandidate,
     model_for_variant,
 )
 
@@ -265,8 +267,10 @@ def test_solve_affine_lists_every_solution():
 def test_solve_tau_reaches_the_first_string_branch(monkeypatch):
     # with the momenta alone every string commutes with every constraint:
     # all 16 strings at d=4 solve, and no basis element is invertible
-    real = DiracModel.generators.func
+    real = DiracModel.generating_set.func
     momenta = property(lambda model: [g for g in real(model) if g[0] == "Pk"])
+    # the solver reads the generating set, verify_tau every generator
+    monkeypatch.setattr(DiracModel, "generating_set", momenta)
     monkeypatch.setattr(DiracModel, "generators", momenta)
     model = model_for(4)
     sol = solve_tau(model, PARITY)
@@ -280,11 +284,18 @@ def _inconsistency_json(found):
     return [(i["generator"], i["monomial"], i["scale"].to_json()) for i in found]
 
 
-def _assert_rows_match_reference(model, cand, include_j):
+def _assert_rows_match_reference(model, cand, include_j, generators=None):
+    """The solver's rows against the scalar reference over ``generators``,
+    every generator by default: the same solution strings and orbital
+    inconsistencies, and rows among the reference rows, all of them when
+    the reference reads only what the solver reads."""
     rows, found = symmetry._string_rows(model, cand, include_j)
-    want_rows, want_found = reference_string_rows(model, cand, include_j)
+    want_rows, want_found = reference_string_rows(model, cand, include_j, generators)
     assert len(set(rows)) == len(rows)
-    assert set(rows) == set(want_rows)
+    if generators is None:
+        assert set(rows) <= set(want_rows)
+    else:
+        assert set(rows) == set(want_rows)
     nbits = 2 * pauli.qubits(model.dim)
     assert pauli.solve_affine(rows, nbits) == pauli.solve_affine(want_rows, nbits)
     assert _inconsistency_json(found) == _inconsistency_json(want_found)
@@ -334,7 +345,12 @@ def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, inc
             cls, q, phase = tilt
             factor = ExactScalar(q) * phase
             mp.setattr(models, "generator", _tilted(models.generator, cls, factor))
-        _assert_rows_match_reference(model, CANDIDATES[name], include_j)
+        # the solver reads the generating set; a tilted Jkl class is no
+        # longer a bracket of boosts, so only the rest must match all rows
+        cand = CANDIDATES[name]
+        _assert_rows_match_reference(model, cand, include_j, model.generating_set)
+        if tilt is None or tilt[0] != "Jkl":
+            _assert_rows_match_reference(model, cand, include_j)
 
 
 def test_cell_costs_quadratically_many_string_products(monkeypatch):
@@ -353,3 +369,74 @@ def test_cell_costs_quadratically_many_string_products(monkeypatch):
     sol = solve_tau(model, TW)
     assert sol.exists
     assert len(calls) <= 1 + 2 * d + d * (d - 1)
+
+
+def test_cell_makes_at_most_d_string_products(monkeypatch):
+    # the d alphas are the only products: a cell reads no rotation, whose
+    # spin term alpha_l*alpha_k is the one product a generator makes
+    d = 8
+    model = model_for(d)
+    calls = []
+    real = pauli.mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(pauli, "mul", counting)
+    sol = solve_tau(model, TW)
+    assert sol.exists
+    assert len(calls) <= d
+
+
+def test_every_candidate_reads_the_generating_set():
+    for cand in CANDIDATES.values():
+        assert symmetry._reads_generating_set(cand), cand.name
+
+
+@pytest.mark.parametrize("d", range(18, 34, 2))
+def test_generating_set_rows_solve_as_every_generator(d):
+    # the rows of P0, Pk and J0k against the reference over every
+    # generator, Jkl included, above the range of the row-set test
+    for variant in VARIANTS:
+        model = model_for_variant(d, variant)
+        for cand in CANDIDATES.values():
+            _assert_rows_match_reference(model, cand, True)
+
+
+# Tw with commuting rotations: eps(Jkl) = +1 against (-1)^antilinear = -1
+TW_COMMUTING_J = SymmetryCandidate(
+    name="Tw-commuting-J",
+    antilinear=True,
+    t_sign=-1,
+    x_sign=1,
+    signature=(("P0", 1), ("Pk", -1), ("Jkl", 1), ("J0k", 1)),
+)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_candidate_off_the_rule_reads_every_generator(d, variant):
+    model = model_for_variant(d, variant)
+    assert not symmetry._reads_generating_set(TW_COMMUTING_J)
+    _assert_rows_match_reference(model, TW_COMMUTING_J, True, model.generators)
+    if d == 4:
+        got = solve_tau(model, TW_COMMUTING_J, variant=variant)
+        want = dense_solve_tau(model, TW_COMMUTING_J, variant=variant)
+        assert _cert_bytes(got) == _cert_bytes(want)
+
+
+def test_a_d64_cell_builds_no_rotation(monkeypatch):
+    d = 64
+    built = Counter()
+    real = models.generator
+
+    def counting(model, which, k=0, l=0):
+        built[which] += 1
+        return real(model, which, k=k, l=l)
+
+    monkeypatch.setattr(models, "generator", counting)
+    model = model_for(d)
+    rows, found = symmetry._string_rows(model, TW, True)
+    assert built == {"P0": 1, "Pk": d, "J0k": d}
+    assert pauli.solve_affine(rows, 2 * pauli.qubits(model.dim)) and not found
