@@ -3,7 +3,10 @@
 The generators are given in closed form as {monomial: Pauli string}: a
 monomial in t, x_1..x_d, p_1..p_d in normal order (every x factor left of
 every p factor), and one string (c, x, z) of ``pauli`` as its matrix
-coefficient.  Both the solver and ``verify_tau`` work on these strings.
+coefficient.  ``verify_tau`` works on these strings, and so does the
+solver for a candidate off its generating-set rule; on the rule it reads
+its rows off the term types of P0, Pk and J0k instead
+(``symmetry._type_rows``).
 Dense operator symbols, normal-ordered polynomials with exact matrix
 coefficients, and their product, which implements [x_k, p_l] = i*delta_kl
 and checks the closed forms, are in the tests' dense oracle.

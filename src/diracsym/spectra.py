@@ -88,11 +88,13 @@ def _casimirs(model: DiracModel) -> tuple[list, list]:
         quarter_i = ExactScalar(0, Fraction(sign, 4))
         return pauli.mul((quarter_i, 0, 0), pauli.mul(al[l - 1], al[k - 1]))
 
+    # rot_i / 2 = S_jk / 2 for i = 1, 2, 3, built once for both Casimirs
+    rotations = [half_spin(2, 3), half_spin(3, 1), half_spin(1, 2)]
     casimirs = []
     for sign in (-1, 1):
         terms = []
-        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            a_i = [half_spin(j, k), half_spin(i, 4, sign)]  # A_i, then B_i
+        for i, rot in enumerate(rotations, start=1):
+            a_i = [rot, half_spin(i, 4, sign)]  # A_i, then B_i
             terms += [(c, x, z) for (x, z), c in pauli.square_sum(a_i).items()]
         casimirs.append(terms)
     return casimirs[0], casimirs[1]

@@ -18,23 +18,34 @@ and the strings that solve it are the solutions of an affine system over
 GF(2) (``pauli``) with one row per distinct coefficient string.  A row's
 right-hand side is an integer sign: a coefficient q*i^k*P keeps its
 rational size q under T, so the monomial's sign and, for an antilinear
-S, the parity of k decide it (``_string_rows``).  The rotations are
-brackets of boosts, Jkl = i[J0k, J0l], so when eps(Jkl) =
-(-1)^antilinear, as for every built-in candidate, the rows are read
-from the generating set P0, Pk, J0k alone (``DiracModel.generating_set``),
-with the d + 2 strings I, beta and alpha_j, and no rotation is built.
-Exact scalars enter only the orbital residuals of identity-string
-terms.  The dense outputs
-are written down from the packed solution strings, with entries +-1 and
-0 only (``_solve_strings``): within one x mask the z masks form z0 + V,
-rows r and r' fall in one class when (r^r').v = 0 for every v in V, and
-each class is one basis matrix, signed relative to its last row.  That
-is the basis an exact RREF of the dense strings gives, with no
-elimination, rescaling or product.  Every string is unitary, so a
-candidate is a symmetry exactly when a solution string exists, and the
-first one is the reported invertible representative: no search over the
-span is needed.  Only the clifford2 ansatz still eliminates exactly, in
-span coordinates, for its basis.
+S, whether the coefficient is real or imaginary decide it
+(``_string_rows``).  The rotations are brackets of boosts, Jkl =
+i[J0k, J0l], so when eps(Jkl) = (-1)^antilinear, as for every built-in
+candidate, the rows of the generating set P0, Pk, J0k decide the cell.
+Each of its terms is one of seven types:
+
+    (P0, p_j, alpha_j), (P0, 1, bm*beta), (Pk, p_k, I),
+    (J0k, t*p_k, I), (J0k, x_k*p_j, -alpha_j), (J0k, x_k, -bm*beta),
+    (J0k, 1, (i/2)*alpha_k),
+
+with bm = branch*mass.  A type fixes the term's sign, and the gamma
+coefficients fix whether its coefficient is real or imaginary, so the
+rows are read off this table and the masks of the d + 2 strings I, beta
+and alpha_j (``_type_rows``): no generator is built, and no string
+product or scalar arithmetic is done.  ``include_j=False`` reads the P0
+and Pk types only.  A candidate off the rule still reads every
+generator, Jkl included, term by term (``_generator_rows``).  Exact
+scalars enter only the orbital residuals of identity-string terms.  The
+dense outputs are written down from the packed solution strings, with
+entries +-1 and 0 only (``_solve_strings``): within one x mask the z
+masks form z0 + V, rows r and r' fall in one class when (r^r').v = 0 for
+every v in V, and each class is one basis matrix, signed relative to its
+last row.  That is the basis an exact RREF of the dense strings gives,
+with no elimination, rescaling or product.  Every string is unitary, so
+a candidate is a symmetry exactly when a solution string exists, and
+the first one is the reported invertible representative: no search over
+the span is needed.  Only the clifford2 ansatz still eliminates exactly,
+in span coordinates, for its basis.
 
 ``verify_tau`` re-checks any dense tau by a second route: it expands tau
 in strings (``pauli.expand``) and multiplies it with every coefficient of
@@ -59,7 +70,7 @@ from .exact import (
     _Rref,
     nullspace_from_rref,
 )
-from .models import DiracModel, model_for
+from .models import DiracModel, model_for, p_monomial
 
 GENERATOR_CLASSES = ("P0", "Pk", "Jkl", "J0k")
 
@@ -195,7 +206,7 @@ class TauSolution:
 
 def _reads_generating_set(cand: SymmetryCandidate) -> bool:
     """True when eps(Jkl) = (-1)^antilinear: the rotation rows then follow
-    from the boost rows (``_string_rows``).  Every candidate in
+    from the boost rows (``_type_rows``).  Every candidate in
     ``CANDIDATES`` obeys it, and a composite of two that do obeys it too."""
     return cand.eps("Jkl") == (-1 if cand.antilinear else 1)
 
@@ -205,42 +216,127 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
 
     Every generator coefficient is a string B = lam*P, and its image in
     T(G) is A = lam_A*P with lam_A = s*lam, or s*conj(lam) when S is
-    antilinear, s the monomial's sign (``_term_sign``).  Then
-    S*A = eps*B*S iff (-1)^<S,P>*lam_A = eps*lam.  A real lam has
-    lam_A = s*lam, and an imaginary one under an antilinear S has
-    lam_A = -s*lam, so lam_A/lam is an integer sign r and the row is
-    <S,P> = [eps != r], whatever the rational size of lam.  Any other
-    lam under an antilinear S gives lam_A/lam off +-1: the
-    contradiction 0 = 1.  Each distinct (mask, rhs) is emitted once, in
-    first-seen order.
+    antilinear, s the monomial's sign.  Then S*A = eps*B*S iff
+    (-1)^<S,P>*lam_A = eps*lam.  A real lam has lam_A = s*lam, and an
+    imaginary one under an antilinear S has lam_A = -s*lam, so
+    lam_A/lam is an integer sign r and the row is <S,P> = [eps != r],
+    whatever the rational size of lam.
 
-    The rows come from the generating set P0, Pk, J0k
-    (``DiracModel.generating_set``) when S obeys
-    eps(Jkl) = (-1)^antilinear, and from every generator otherwise;
-    ``include_j=False`` reads P0 and Pk only.  The rotations are brackets
-    of boosts, Jkl = i[J0k, J0l], and T is an automorphism of the
-    normal-ordered algebra, conjugate-linear when S is antilinear:
-    T(AB) = T(A)T(B) and T(i*A) = (-1)^antilinear*i*T(A).
+    When S obeys eps(Jkl) = (-1)^antilinear, and whenever
+    ``include_j=False``, the rows are read off the seven term types of
+    the generating set P0, Pk, J0k (``_type_rows``), with no generator
+    built.  Any other S reads every generator, term by term
+    (``_generator_rows``).
+
+    Returns (rows as (mask, rhs) pairs, orbital inconsistencies).
+    """
+    if include_j and not _reads_generating_set(cand):
+        return _generator_rows(model, cand, model.generators)
+    return _type_rows(model, cand, include_j)
+
+
+def _type_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
+    """The rows of ``_string_rows`` from the term types of P0, Pk, J0k.
+
+    With bm = branch*mass, every term of the generating set is one of
+
+        (P0, p_j, alpha_j), (P0, 1, bm*beta), (Pk, p_k, I),
+        (J0k, t*p_k, I), (J0k, x_k*p_j, -alpha_j), (J0k, x_k, -bm*beta),
+        (J0k, 1, (i/2)*alpha_k),
+
+    the beta terms dropped when the mass is 0.  A term's sign is
+    t_sign^#t * x_sign^#x * p_sign^#p, fixed by its type, and the row
+    needs only whether its coefficient is real or imaginary, so the rows
+    are one per (type, string) over the d + 2 strings I, beta, alpha_j.
+    The masks and that bit come from the gamma strings
+    (``_type_strings``); (i/2)*alpha_k flips alpha_k's bit and bm*beta
+    has beta's.  So a cell makes no string product and no scalar
+    arithmetic, and builds no generator.
+
+    The rotations are brackets of boosts, Jkl = i[J0k, J0l], and T is an
+    automorphism of the normal-ordered algebra, conjugate-linear when S
+    is antilinear: T(AB) = T(A)T(B) and T(i*A) = (-1)^antilinear*i*T(A).
     So a tau with tau*T(J0k) = eps*J0k*tau for every k has
     tau*T(Jkl) = (-1)^antilinear*eps^2*Jkl*tau, and under the rule the
     Jkl rows hold on every solution of the others: they remove no
     solution string.  Their identity-string terms +-x_k p_l carry the
-    real coefficient +-1 and the sign x_sign*p_sign = (-1)^antilinear, so
-    r = eps and their right-hand side is 0: they add no orbital
-    inconsistency either.
+    real coefficient +-1 and the sign x_sign*p_sign = (-1)^antilinear,
+    so r = eps and their right-hand side is 0: they add no orbital
+    inconsistency either.  ``include_j=False`` reads the P0 and Pk types
+    only.
 
-    Returns (rows as (mask, rhs) pairs, orbital inconsistencies).  An
-    inconsistency is an identity-string term whose row fails; only there
-    is the exact residual lam_A - eps*lam computed.
+    The identity-string types (Pk, p_k, I) and (J0k, t*p_k, I) are the
+    orbital ones.  When one fails, each of its d terms is an
+    inconsistency, in generator order, with the exact residual
+    sign - eps; only then are its monomials built.
     """
+    antilinear = cand.antilinear
+    t_sign, x_sign = cand.t_sign, cand.x_sign
+    p_sign = -x_sign if antilinear else x_sign
+    alphas, beta = _type_strings(model)
+
+    def rhs(eps, sign, imaginary):
+        # eps != r with r = -sign for an imaginary coefficient under an
+        # antilinear S, and r = sign otherwise
+        return int((eps != sign) != (antilinear and imaginary))
+
+    eps = cand.eps("P0")
+    rows = [(mask, rhs(eps, p_sign, im)) for mask, im in alphas]
+    if beta:
+        rows.append((beta[0], rhs(eps, 1, beta[1])))
+    # (class, label prefix, sign, t exponent) of each identity-string type
+    classes = [("Pk", "P", p_sign, 0)]
+    if include_j:
+        eps = cand.eps("J0k")
+        rows += [(mask, rhs(eps, x_sign * p_sign, im)) for mask, im in alphas]
+        if beta:
+            rows.append((beta[0], rhs(eps, x_sign, beta[1])))
+        rows += [(mask, rhs(eps, 1, not im)) for mask, im in alphas]
+        classes.append(("J0k", "J0", t_sign * p_sign, 1))
+    inconsistencies = []
+    d = model.d
+    for cls, prefix, sign, t in classes:
+        eps = cand.eps(cls)
+        rows.append((0, int(eps != sign)))
+        if eps != sign:
+            resid = ExactScalar(sign - eps)
+            for k in range(1, d + 1):
+                mono = (t, *p_monomial(d, k)[1:])
+                inconsistencies.append(
+                    {"generator": f"{prefix}{k}", "monomial": mono, "scale": resid}
+                )
+    return list(dict.fromkeys(rows)), inconsistencies
+
+
+def _type_strings(model: DiracModel):
+    """(symplectic mask, imaginary) of alpha_1..alpha_d, and of beta, or
+    None for beta when the mass is 0, read off the gamma strings with no
+    product: alpha_j = gamma_0*gamma_j is the string x0^xj, z0^zj with
+    coefficient +-c0*cj, imaginary exactly when one of c0, cj is, since
+    both are +-1 or +-i."""
+    nq = pauli.qubits(model.dim)
+    (c0, x0, z0), *spatial = model.gamma.strings
+    im0 = bool(c0.im)
+    alphas = [
+        (pauli.symplectic_mask(x0 ^ x, z0 ^ z, nq), im0 != bool(c.im))
+        for c, x, z in spatial
+    ]
+    if not model.mass:
+        return alphas, None
+    c, x, z = model.beta_string
+    return alphas, (pauli.symplectic_mask(x, z, nq), bool(c.im))
+
+
+def _generator_rows(model: DiracModel, cand: SymmetryCandidate, gens):
+    """The rows of ``_string_rows`` term by term over the generators
+    ``gens``, each monomial's sign from ``_term_sign``.  A coefficient
+    neither real nor imaginary under an antilinear S gives lam_A/lam off
+    +-1: the contradiction 0 = 1.  Each distinct (mask, rhs) is emitted
+    once, in first-seen order.  An inconsistency is an identity-string
+    term whose row fails; only there is the exact residual
+    lam_A - eps*lam computed."""
     nq = pauli.qubits(model.dim)
     antilinear = cand.antilinear
-    if not include_j:
-        gens = [g for g in model.generating_set if g[0] != "J0k"]
-    elif _reads_generating_set(cand):
-        gens = model.generating_set
-    else:
-        gens = model.generators
     rows = {}
     inconsistencies = []
     for cls, label, g in gens:

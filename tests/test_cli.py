@@ -1,5 +1,8 @@
 """Command-line interface: certificates on disk and the exit-code contract."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import diracsym
 from diracsym import ExactMatrix, make_certificate, model_for, verify_certificate
@@ -358,3 +362,71 @@ print(abs(out.matrix.trace() - 1), "numpy" in sys.modules)
     drift, loaded = _fresh_python(code).split()
     assert float(drift) < 1e-12
     assert loaded == "True"
+
+
+# Valid values for each option type of the solving commands, dims at most 6
+# and --jobs at most 4; every option also draws from the adversarial pool.
+_VALID = {
+    cli._even_dim: ["2", "4", "6"],
+    cli._even_dims: ["2", "4", "6", "2,4", "6,2", "2,4,6"],
+    cli._variants: ["single", "massless", "single-,doubled", "doubled,massless,single"],
+    cli._rational: ["0", "1", "3/7", "-5/3", "0.25", "7"],
+    cli._positive_int: ["1", "2", "4"],
+    cli._expectation: ["P:yes", "Tw:no", "C:yes", "PTC:no"],
+}
+_HUGE = str(10**40)
+_ADVERSARIAL = [
+    "", " ", "\t", " 4 ", "1e5", "1E3", "1/0", "0/0", "-2", "-1/3", "0",
+    _HUGE, "-" + _HUGE, "1/" + _HUGE, "é", "４", "٣", "π",
+    "2,", ",", "4,4", "nan", "inf", "--dim", "Tw:maybe", "single,bogus",
+]
+
+
+def _options(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # --out would write files named by the adversarial values
+    return [a for a in sub.choices[command]._actions if a.option_strings != ["--out"]]
+
+
+@st.composite
+def _argv(draw, command):
+    pairs = []
+    for action in _options(command):
+        opt = action.option_strings[0]
+        if action.nargs == 0:  # -h and --json take no value
+            if draw(st.integers(0, 9)) == 0:
+                pairs.append([opt])
+            continue
+        valid = list(action.choices or _VALID[action.type])
+        adversarial = _ADVERSARIAL
+        if action.type is cli._positive_int:
+            adversarial = [v for v in _ADVERSARIAL if v != _HUGE]
+        kind = draw(st.sampled_from(["valid"] * 3 + ["adversarial", "absent"]))
+        for _ in range(draw(st.integers(1, 2)) if kind != "absent" else 0):
+            pool = valid if kind == "valid" else adversarial
+            pairs.append([opt, draw(st.sampled_from(pool))])
+    pairs = draw(st.permutations(pairs))
+    stray = draw(st.sampled_from([[], ["--seed", "1"], ["é"], [""]]))
+    return [command, *(token for pair in pairs for token in pair), *stray]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.sampled_from(["solve-tau", "classify"]).flatmap(_argv))
+@example(argv=["solve-tau", "--dim", "４", "--symmetry", "Tw", "--mass", "1/" + _HUGE])
+@example(argv=["solve-tau", "--dim", "4", "--symmetry", "C", "--variant", "doubled",
+               "--ansatz", "clifford2"])
+@example(argv=["solve-tau", "--dim", "2", "--symmetry", "P", "--mass", "-1/3"])
+@example(argv=["classify", "--dims", "2", "--variants", "massless", "--mass", _HUGE,
+               "--jobs", "4", "--expect", "C:yes"])
+def test_solving_commands_exit_0_1_or_2_on_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and "-h" not in argv:
+        assert verify_certificate(json.loads(out.getvalue())), argv

@@ -67,12 +67,14 @@ def test_golden_spectra_are_byte_identical(tmp_path, d):
 
 
 # solve-tau emits the whole basis, where a classify row holds only
-# representatives: a two-row class basis, an antilinear -1 square phase and
-# a linear +1 one
+# representatives: a two-row class basis, an antilinear -1 square phase, a
+# linear +1 one, and an empty cell whose four orbital inconsistencies
+# (P1..P4) print their monomials
 SOLVE_TAU = {
     "solve_tau_d6_doubled_Tw": "--dim 6 --variant doubled --mass 5/3 --symmetry Tw",
     "solve_tau_d4_massless_C": "--dim 4 --variant massless --symmetry C",
     "solve_tau_d8_single_P": "--dim 8 --variant single --mass 3/7 --symmetry P",
+    "solve_tau_d4_single_Tp-literal": "--dim 4 --symmetry Tp-literal",
 }
 
 

@@ -1,6 +1,7 @@
 """The Pauli-string solver against the dense oracle and the stored table."""
 
 import hashlib
+import itertools
 import json
 import pathlib
 from collections import Counter
@@ -90,10 +91,13 @@ def _tilted(real, cls, factor):
 
 def test_ratio_off_the_unit_signs_empties_the_cell(monkeypatch):
     # a (1+i)*I momentum coefficient: an antilinear candidate meets
-    # r = +-(1+i)/(1-i) = +-i, which no string and no dense tau satisfies
+    # r = +-(1+i)/(1-i) = +-i, which no string and no dense tau satisfies.
+    # The type table reads no generator, so the cells take the per-term
+    # path over every generator, which reads the tilted ones.
     monkeypatch.setattr(
         models, "generator", _tilted(models.generator, "Pk", ExactScalar(1, 1))
     )
+    monkeypatch.setattr(symmetry, "_reads_generating_set", lambda cand: False)
     model = model_for(4)
     for name in ("P", "Tw", "C", "TpC"):
         got = solve_tau(model, CANDIDATES[name])
@@ -269,9 +273,10 @@ def test_solve_tau_reaches_the_first_string_branch(monkeypatch):
     # all 16 strings at d=4 solve, and no basis element is invertible
     real = DiracModel.generating_set.func
     momenta = property(lambda model: [g for g in real(model) if g[0] == "Pk"])
-    # the solver reads the generating set, verify_tau every generator
-    monkeypatch.setattr(DiracModel, "generating_set", momenta)
+    # the per-term path and verify_tau read every generator; the type
+    # table reads none, so the cell is sent down the per-term path
     monkeypatch.setattr(DiracModel, "generators", momenta)
+    monkeypatch.setattr(symmetry, "_reads_generating_set", lambda cand: False)
     model = model_for(4)
     sol = solve_tau(model, PARITY)
     assert sol.dim == 16
@@ -284,12 +289,13 @@ def _inconsistency_json(found):
     return [(i["generator"], i["monomial"], i["scale"].to_json()) for i in found]
 
 
-def _assert_rows_match_reference(model, cand, include_j, generators=None):
-    """The solver's rows against the scalar reference over ``generators``,
-    every generator by default: the same solution strings and orbital
-    inconsistencies, and rows among the reference rows, all of them when
-    the reference reads only what the solver reads."""
-    rows, found = symmetry._string_rows(model, cand, include_j)
+def _assert_rows_match_reference(model, cand, include_j, generators=None, got=None):
+    """The solver's rows, or the rows ``got``, against the scalar
+    reference over ``generators``, every generator by default: the same
+    solution strings and orbital inconsistencies, and rows among the
+    reference rows, all of them when the reference reads only what the
+    solver reads."""
+    rows, found = got if got is not None else symmetry._string_rows(model, cand, include_j)
     want_rows, want_found = reference_string_rows(model, cand, include_j, generators)
     assert len(set(rows)) == len(rows)
     if generators is None:
@@ -303,11 +309,14 @@ def _assert_rows_match_reference(model, cand, include_j, generators=None):
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 14, 16])
 def test_rows_match_scalar_reference(d):
+    # the type-table rows against the reference over every generator, and
+    # row for row over the generating set, whose dicts it reads term by term
     for variant in VARIANTS:
         model = model_for_variant(d, variant)
         for cand in CANDIDATES.values():
             for include_j in (True, False):
                 _assert_rows_match_reference(model, cand, include_j)
+                _assert_rows_match_reference(model, cand, include_j, model.generating_set)
 
 
 _positive = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
@@ -340,17 +349,24 @@ def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, inc
     # bm*beta carries q = branch*mass; a tilt scales one generator class
     # by q*i^k, or by a factor neither real nor imaginary
     model = model_for(d, mass=mass, branch=branch, doubled=doubled)
+    cand = CANDIDATES[name]
+    if tilt is None:
+        # the type table, which reads the mass through bm*beta alone
+        _assert_rows_match_reference(model, cand, include_j, model.generating_set)
+        _assert_rows_match_reference(model, cand, include_j)
     with pytest.MonkeyPatch.context() as mp:
         if tilt is not None:
             cls, q, phase = tilt
             factor = ExactScalar(q) * phase
             mp.setattr(models, "generator", _tilted(models.generator, cls, factor))
-        # the solver reads the generating set; a tilted Jkl class is no
-        # longer a bracket of boosts, so only the rest must match all rows
-        cand = CANDIDATES[name]
-        _assert_rows_match_reference(model, cand, include_j, model.generating_set)
+        # the per-term path, which reads the generator dicts, over the
+        # generating set; a tilted Jkl class is no longer a bracket of
+        # boosts, so only the rest must match all rows
+        gens = [g for g in model.generating_set if include_j or g[0] != "J0k"]
+        got = symmetry._generator_rows(model, cand, gens)
+        _assert_rows_match_reference(model, cand, include_j, gens, got)
         if tilt is None or tilt[0] != "Jkl":
-            _assert_rows_match_reference(model, cand, include_j)
+            _assert_rows_match_reference(model, cand, include_j, got=got)
 
 
 def test_cell_costs_quadratically_many_string_products(monkeypatch):
@@ -371,9 +387,9 @@ def test_cell_costs_quadratically_many_string_products(monkeypatch):
     assert len(calls) <= 1 + 2 * d + d * (d - 1)
 
 
-def test_cell_makes_at_most_d_string_products(monkeypatch):
-    # the d alphas are the only products: a cell reads no rotation, whose
-    # spin term alpha_l*alpha_k is the one product a generator makes
+def test_cell_makes_no_string_product(monkeypatch):
+    # the rows come from the masks of the gamma strings: no alpha, and no
+    # rotation spin term alpha_l*alpha_k, is multiplied out
     d = 8
     model = model_for(d)
     calls = []
@@ -386,7 +402,7 @@ def test_cell_makes_at_most_d_string_products(monkeypatch):
     monkeypatch.setattr(pauli, "mul", counting)
     sol = solve_tau(model, TW)
     assert sol.exists
-    assert len(calls) <= d
+    assert calls == []
 
 
 def test_every_candidate_reads_the_generating_set():
@@ -397,11 +413,14 @@ def test_every_candidate_reads_the_generating_set():
 @pytest.mark.parametrize("d", range(18, 34, 2))
 def test_generating_set_rows_solve_as_every_generator(d):
     # the rows of P0, Pk and J0k against the reference over every
-    # generator, Jkl included, above the range of the row-set test
+    # generator, Jkl included, and over the generating set, above the
+    # range of the row-set test
     for variant in VARIANTS:
         model = model_for_variant(d, variant)
         for cand in CANDIDATES.values():
-            _assert_rows_match_reference(model, cand, True)
+            for include_j in (True, False):
+                _assert_rows_match_reference(model, cand, include_j)
+                _assert_rows_match_reference(model, cand, include_j, model.generating_set)
 
 
 # Tw with commuting rotations: eps(Jkl) = +1 against (-1)^antilinear = -1
@@ -426,8 +445,8 @@ def test_a_candidate_off_the_rule_reads_every_generator(d, variant):
         assert _cert_bytes(got) == _cert_bytes(want)
 
 
-def test_a_d64_cell_builds_no_rotation(monkeypatch):
-    d = 64
+def test_a_d256_cell_builds_no_generator(monkeypatch):
+    d = 256
     built = Counter()
     real = models.generator
 
@@ -437,6 +456,72 @@ def test_a_d64_cell_builds_no_rotation(monkeypatch):
 
     monkeypatch.setattr(models, "generator", counting)
     model = model_for(d)
-    rows, found = symmetry._string_rows(model, TW, True)
-    assert built == {"P0": 1, "Pk": d, "J0k": d}
-    assert pauli.solve_affine(rows, 2 * pauli.qubits(model.dim)) and not found
+    for include_j in (True, False):
+        rows, found = symmetry._string_rows(model, TW, include_j)
+        assert pauli.solve_affine(rows, 2 * pauli.qubits(model.dim)) and not found
+    assert built == {}
+    assert len(rows) == d + 2  # the d alphas, beta and the identity
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a type-table cell multiplied strings or scalars")
+
+
+@pytest.mark.parametrize("d", [8, 256])
+def test_a_rule_cell_makes_no_product_or_scalar_arithmetic(monkeypatch, d):
+    # the built-in candidates other than Tp-literal have no orbital
+    # inconsistency, so they touch no exact scalar beyond reading c.im
+    model = model_for(d)
+    monkeypatch.setattr(models, "generator", _refuse)
+    monkeypatch.setattr(pauli, "mul", _refuse)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "conjugate"):
+        monkeypatch.setattr(ExactScalar, op, _refuse)
+    for name, cand in CANDIDATES.items():
+        if name == "Tp-literal":
+            continue
+        for include_j in (True, False):
+            _, found = symmetry._string_rows(model, cand, include_j)
+            assert not found, name
+            if d == 8:
+                solve_tau(model, cand, include_j=include_j)
+
+
+def _rule_candidates():
+    """Every candidate with eps(Jkl) = (-1)^antilinear: 64 of them."""
+    for antilinear, t_sign, x_sign, p0, pk, j0k in itertools.product(
+        (False, True), *[(1, -1)] * 5
+    ):
+        jkl = -1 if antilinear else 1
+        sig = (("P0", p0), ("Pk", pk), ("Jkl", jkl), ("J0k", j0k))
+        yield SymmetryCandidate("rule", antilinear, t_sign, x_sign, sig)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_type_rows_hold_for_every_rule_candidate(d):
+    # the built-in candidates share some rows between types (bm*beta of
+    # P0 and of J0k, for one); a signature off them tells every type apart
+    for variant in VARIANTS:
+        model = model_for_variant(d, variant)
+        for cand in _rule_candidates():
+            for include_j in (True, False):
+                got = symmetry._type_rows(model, cand, include_j)
+                _assert_rows_match_reference(
+                    model, cand, include_j, model.generating_set, got
+                )
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_type_strings_read_the_gamma_coefficients(doubled):
+    # the masks and the imaginary bit against the alpha and beta strings
+    # that the gamma system and the model multiply out
+    for d in range(2, 130, 2):
+        model = model_for(d, doubled=doubled)
+        nq = pauli.qubits(model.dim)
+        alphas, beta = symmetry._type_strings(model)
+        want = [
+            (pauli.symplectic_mask(x, z, nq), bool(c.im)) for c, x, z in model.gamma.alpha
+        ]
+        c, x, z = model.beta_string
+        assert alphas == want, d
+        assert beta == (pauli.symplectic_mask(x, z, nq), bool(c.im)), d
+    assert symmetry._type_strings(model_for(4, mass=0))[1] is None

@@ -280,6 +280,24 @@ class TestLabelsAgainstDenseOracle:
         assert little_group_labels(model) == want
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("variant", _LABEL_VARIANTS)
+    def test_labels_build_each_half_spin_once(self, monkeypatch, variant):
+        # the three rotation strings S_jk / 2 serve both Casimirs; built
+        # once per Casimir they cost 6 more products (44, 45 doubled)
+        model = model_for_variant(4, variant, Fraction(7, 3))
+        want = dense_little_group_labels(model)
+        model.gamma.alpha  # the alphas are built once per gamma system
+        calls = []
+        real = pauli.mul
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(pauli, "mul", counting)
+        assert little_group_labels(model) == want
+        assert len(calls) <= (39 if variant == "doubled" else 38)
+
     def test_no_dense_matrix(self, monkeypatch):
         models = [model_for_variant(4, v, Fraction(7, 3)) for v in _LABEL_VARIANTS]
         want = [dense_little_group_labels(m) for m in models]

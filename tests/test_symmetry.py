@@ -457,10 +457,9 @@ class TestClassification:
         records = classify([4, 6], variants=("single", "doubled"))
         assert rows == [(4, "single"), (4, "doubled"), (6, "single"), (6, "doubled")]
         assert [len(r.entries) for r in records] == [len(CLASSIFY_ORDER)] * 4
-        # the 1 + 2d generators of a row's generating set are built once
-        # and shared by its candidates, and no rotation: 9 at d=4, 13 at d=6
-        assert len(built) == 2 * 9 + 2 * 13
-        assert "Jkl" not in built
+        # the candidates of a row read their rows off the type table of
+        # the generating set and build no generator
+        assert built == []
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
