@@ -273,7 +273,9 @@ def _cmd_report(args) -> int:
         try:
             with open(path) as fh:
                 c = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers undecodable bytes, bad JSON and an integer
+            # past the interpreter's digit limit
             print(f"{path}: unreadable certificate: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not isinstance(c, dict):

@@ -1,9 +1,9 @@
 """Gamma-matrix systems for the groups P(1,d), d even.
 
-Every gamma is one scalar times one Pauli string c * X^x Z^z (``pauli``),
-and a system holds the d+1 strings (c, x, z); the dense matrices are
-their encodings.  The d=2 base system lives on one qubit; higher
-dimensions are built by a doubling step that adds one.  Two conventions
+Every gamma is one phase times one Pauli string, i^k * X^x Z^z
+(``pauli``), and a system holds the d+1 terms (1, k, x, z); the dense
+matrices are their encodings.  The d=2 base system lives on one qubit;
+higher dimensions are built by a doubling step that adds one.  Two conventions
 are fixed here once and for all:
 
 * Metric (+, -, -, ..., -): gamma_0 squares to +I, spatial gammas to -I.
@@ -16,10 +16,13 @@ are fixed here once and for all:
   what makes the classical intertwiner matrices (alpha_1*alpha_3 and
   friends) come out literally, not just up to a change of basis.
 
-In strings: the d=2 gammas are Z, -XZ and -iX.  The new qubit of a
-doubling step is bit 0 of the basis index, as in ``kron(gamma, s3)``:
-the old masks shift up one bit, the old gammas gain Z on bit 0, and the
-two new gammas are -XZ and iX on bit 0 alone.
+In terms: the d=2 gammas are Z, -XZ and -iX, with phase exponents
+k = 0, 2 and 3.  The new qubit of a doubling step is bit 0 of the basis
+index, as in ``kron(gamma, s3)``: the old masks shift up one bit, the
+old gammas gain Z on bit 0 and keep their k, and the two new gammas are
+-XZ (k = 2) and iX (k = 1) on bit 0 alone.  Every magnitude is the int
+1, so the alphas and the gamma monomials are integer products and no
+exact scalar is made until a matrix is encoded.
 """
 
 from __future__ import annotations
@@ -29,20 +32,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import pauli
-from .exact import ExactMatrix, I_UNIT, MINUS_ONE, ONE, matmul
+from .exact import ExactMatrix, matmul
 
 
 @dataclass(frozen=True)
 class GammaSystem:
     """d+1 gamma matrices with metric diag(+1, -1, ..., -1), held as the
-    Pauli strings (c, x, z) of gamma_0 ... gamma_d."""
+    Pauli terms (r, k, x, z) of gamma_0 ... gamma_d."""
 
     d: int
     strings: tuple
 
     @cached_property
     def alpha(self) -> tuple:
-        """alpha_k = gamma_0 * gamma_k for k = 1..d, as strings, derived
+        """alpha_k = gamma_0 * gamma_k for k = 1..d, as terms, derived
         from ``strings`` on first use and then held by the system."""
         g0 = self.strings[0]
         return tuple(pauli.mul(g0, g) for g in self.strings[1:])
@@ -96,19 +99,17 @@ class CliffordMonomial:
 
 def base_system() -> GammaSystem:
     """The d=2 system: gamma_0 = s3, gamma_1 = s3*s1, gamma_2 = s3*s2,
-    the strings Z, -XZ and -iX.
+    the strings Z, -XZ and -iX: phase exponents 0, 2 and 3.
 
     The derived alpha_1, alpha_2, beta are then s1, s2, s3.
     """
-    return GammaSystem(
-        d=2, strings=((ONE, 0, 1), (MINUS_ONE, 1, 1), (-I_UNIT, 1, 0))
-    )
+    return GammaSystem(d=2, strings=((1, 0, 0, 1), (1, 2, 1, 1), (1, 3, 1, 0)))
 
 
 def extend(gs: GammaSystem) -> GammaSystem:
     """Doubling step P(1,d) -> P(1,d+2); the new qubit is bit 0."""
-    old = tuple((c, x << 1, z << 1 | 1) for c, x, z in gs.strings)
-    new = ((MINUS_ONE, 1, 1), (I_UNIT, 1, 0))
+    old = tuple((r, k, x << 1, z << 1 | 1) for r, k, x, z in gs.strings)
+    new = ((1, 2, 1, 1), (1, 1, 1, 0))  # -XZ and iX
     return GammaSystem(d=gs.d + 2, strings=old + new)
 
 
@@ -133,7 +134,7 @@ def monomial_basis(gs: GammaSystem, max_degree: int) -> list[CliffordMonomial]:
     n = gs.rep_dim
     for deg in range(max_degree + 1):
         for subset in itertools.combinations(range(gs.d + 1), deg):
-            s = (ONE, 0, 0)
+            s = (1, 0, 0, 0)
             for idx in subset:
                 s = pauli.mul(s, gs.strings[idx])
             out.append(CliffordMonomial(subset, s, pauli.encode(*s, n)))

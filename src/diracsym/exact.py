@@ -121,6 +121,7 @@ ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 MINUS_ONE = ExactScalar(-1)
 I_UNIT = ExactScalar(0, 1)
+MINUS_I = ExactScalar(0, -1)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,11 +1,12 @@
 """Dynamical objects: Dirac-type Hamiltonians and Poincare-type generators.
 
-The generators are given in closed form as {monomial: Pauli string}: a
+The generators are given in closed form as {monomial: Pauli term}: a
 monomial in t, x_1..x_d, p_1..p_d in normal order (every x factor left of
-every p factor), and one string (c, x, z) of ``pauli`` as its matrix
-coefficient.  ``verify_tau`` works on these strings, and so does the
-solver for a candidate off its generating-set rule; on the rule it reads
-its rows off the term types of P0, Pk and J0k instead
+every p factor), and one term (r, k, x, z) = r * i^k * X^x Z^z of
+``pauli`` as its matrix coefficient, so every coefficient is real or
+imaginary by construction.  ``verify_tau`` works on these terms, and so
+does the solver for a candidate off its generating-set rule; on the rule
+it reads its rows off the term types of P0, Pk and J0k instead
 (``symmetry._type_rows``).
 Dense operator symbols, normal-ordered polynomials with exact matrix
 coefficients, and their product, which implements [x_k, p_l] = i*delta_kl
@@ -20,12 +21,7 @@ from functools import cached_property
 
 from . import pauli
 from .clifford import GammaSystem, system_for
-from .exact import (
-    ExactMatrix,
-    ExactScalar,
-    MINUS_ONE,
-    ONE,
-)
+from .exact import ExactMatrix
 
 # A monomial is (t_exp, x_exps, p_exps) with x_exps/p_exps tuples of length d.
 Monomial = tuple
@@ -74,13 +70,13 @@ class DiracModel:
 
     @property
     def beta_string(self) -> tuple:
-        """beta = gamma_0 as a string.  A doubled model gains Z on its top
+        """beta = gamma_0 as a term.  A doubled model gains Z on its top
         qubit, diag(beta, -beta), and is the identity there on the alphas,
-        whose strings ``gamma.alpha`` therefore serve both."""
-        c, x, z = self.gamma.strings[0]
+        whose terms ``gamma.alpha`` therefore serve both."""
+        r, k, x, z = self.gamma.strings[0]
         if self.doubled:
             z |= self.gamma.rep_dim
-        return c, x, z
+        return r, k, x, z
 
     @property
     def beta(self) -> ExactMatrix:
@@ -89,7 +85,7 @@ class DiracModel:
     @cached_property
     def generating_set(self) -> list:
         """P0, the d momenta and the d boosts J0k, as (class, label,
-        {monomial: string}) in that order.  They generate P(1,d): each
+        {monomial: term}) in that order.  They generate P(1,d): each
         rotation Jkl is a real multiple of i[J0k, J0l].  Built once per
         model."""
         d = self.d
@@ -101,7 +97,7 @@ class DiracModel:
 
     @cached_property
     def generators(self) -> list:
-        """Every generator as (class, label, {monomial: string}), grouped
+        """Every generator as (class, label, {monomial: term}), grouped
         by class in a fixed order: P0, the d momenta, the d(d-1)/2
         rotations Jkl (k < l), the d boosts.  Built once per model; all
         but the rotations are the dicts of ``generating_set``."""
@@ -118,29 +114,34 @@ class DiracModel:
     def _coefficient_strings(self) -> tuple:
         """(-alpha_j for j = 1..d, (i/2)*alpha_k for k = 1..d, bm*beta,
         -bm*beta) with bm = branch*mass, the beta pair None when the mass
-        is 0: every scaled string of P0 and the boosts, each computed once
-        per model."""
+        is 0: every scaled term of P0 and the boosts, each computed once
+        per model.  -alpha_j adds 2 to the phase exponent, (i/2)*alpha_k
+        halves the magnitude and adds 1, and bm*beta scales the magnitude
+        by bm."""
         alphas = self.gamma.alpha
-        neg_alphas = tuple(map(_neg, alphas))
-        half_i_alphas = tuple(_times(_HALF_I, a) for a in alphas)
+        neg_alphas = tuple((r, (k + 2) & 3, x, z) for r, k, x, z in alphas)
+        half_i_alphas = tuple((_HALF * r, (k + 1) & 3, x, z) for r, k, x, z in alphas)
         if not self.mass:
             return neg_alphas, half_i_alphas, None, None
-        bm_beta = _times(ExactScalar(self.branch * self.mass), self.beta_string)
-        return neg_alphas, half_i_alphas, bm_beta, _neg(bm_beta)
+        r, k, x, z = self.beta_string
+        bm = self.branch * self.mass * r
+        return neg_alphas, half_i_alphas, (bm, k, x, z), (bm, (k + 2) & 3, x, z)
 
     def hamiltonian_strings(self, p) -> list:
-        """The terms (c, x, z) of H(p) for a rational momentum vector p of
+        """The terms (r, k, x, z) of H(p) for a rational momentum vector p of
         length d: p_k times alpha_k and branch*mass times beta, the zero
-        coefficients dropped."""
+        coefficients dropped.  A coefficient scales the magnitude alone, so
+        the magnitude of a unit string is the coefficient itself."""
         if len(p) != self.d:
             raise ValueError(f"momentum must have {self.d} components")
         coeffs = [*p, self.branch * self.mass]
         strings = [*self.gamma.alpha, self.beta_string]
         terms = []
-        for coef, (c, x, z) in zip(coeffs, strings):
-            c = c * ExactScalar(Fraction(coef))
-            if c:
-                terms.append((c, x, z))
+        for coef, (r, k, x, z) in zip(coeffs, strings):
+            if coef:
+                if type(coef) is not Fraction:
+                    coef = Fraction(coef)
+                terms.append((coef if r == 1 else coef * r, k, x, z))
         return terms
 
     def hamiltonian_matrix(self, p) -> ExactMatrix:
@@ -166,23 +167,12 @@ def doubled(model: DiracModel) -> DiracModel:
     return replace(model, doubled=True, branch=1)
 
 
-def _times(k: ExactScalar, s: tuple) -> tuple:
-    """The string k * s for a scalar k."""
-    c, x, z = s
-    return k * c, x, z
-
-
-def _neg(s: tuple) -> tuple:
-    c, x, z = s
-    return -c, x, z
-
-
-_IDENTITY = (ONE, 0, 0)
-_HALF_I = ExactScalar(0, Fraction(1, 2))
+_IDENTITY = (1, 0, 0, 0)
+_HALF = Fraction(1, 2)
 
 
 def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
-    """One Poincare-type generator in closed form, as {monomial: string}.
+    """One Poincare-type generator in closed form, as {monomial: term}.
 
     which: "P0", "Pk" (needs k), "Jkl" (needs k < l), "J0k" (needs k).
     With bm = branch*mass, and the beta terms dropped when the mass is 0:
@@ -194,10 +184,10 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
 
     J0k is t*p_k - x_k*H + (i/2)*alpha_k, the symmetrized boost
     t*p_k - (x_k*H + H*x_k)/2 reordered with [x_k, p_l] = i*delta_kl.
-    The alpha strings are the ones the gamma system holds, and P0 and
-    J0k take their scaled strings from the model
+    The alpha terms are the ones the gamma system holds, and P0 and
+    J0k take their scaled terms from the model
     (``DiracModel._coefficient_strings``), so building them does no
-    scalar arithmetic; the only string product is alpha_l*alpha_k in Jkl.
+    arithmetic; the only string product is alpha_l*alpha_k in Jkl.
     """
     d = model.d
     if which == "P0":
@@ -215,10 +205,11 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
         if k == l:
             raise ValueError("Jkl needs two distinct spatial indices")
         alphas = model.gamma.alpha
+        r, phase, x, z = pauli.mul(alphas[l - 1], alphas[k - 1])
         return {
             _mono_xp(d, k, l): _IDENTITY,
-            _mono_xp(d, l, k): (MINUS_ONE, 0, 0),
-            unit_monomial(d): _times(_HALF_I, pauli.mul(alphas[l - 1], alphas[k - 1])),
+            _mono_xp(d, l, k): (1, 2, 0, 0),
+            unit_monomial(d): (_HALF * r, (phase + 1) & 3, x, z),
         }
     if which == "J0k":
         _check_index(k, d)

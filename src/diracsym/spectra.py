@@ -10,8 +10,11 @@ quarantined to the density-matrix evolution, and so is numpy:
 ``DensityState`` and ``evolution_operator`` import it on first use, so
 importing this module, and every exact check in it, loads no numerical
 library.  The evolution writes its float H(p) straight from the Pauli
-strings of H(p), n entries per string, with no exact dense matrix in
-between.
+terms of H(p), n entries per term, with no exact dense matrix in
+between.  The terms carry their phases as exponents of i and their
+magnitudes as rationals (``pauli``), so a check makes exact complex
+scalars only for its results: the dispersion check makes two, the
+identity coefficient of H(p)^2 and omega2.
 """
 
 from __future__ import annotations
@@ -32,20 +35,21 @@ def dispersion_check(model: DiracModel, p) -> dict:
 
     Together with trace H(p) == 0 this pins the eigenvalues to
     +-sqrt(omega2) with equal multiplicities.  Both identities are decided
-    on the d+1 Pauli strings of H(p).  ``pauli.square_sum`` squares them
-    in d+1 string squares plus O(d^2) parity tests: a pair that
+    on the d+1 Pauli terms of H(p).  ``pauli.square_sum`` squares them
+    in d+1 term squares plus O(d^2) parity tests: a pair that
     anticommutes cancels in H(p)^2 without being multiplied.  H(p)^2
     equals omega2 * I exactly when only the identity string is left, with
     coefficient omega2, because distinct strings are linearly
     independent.  A string other than the identity has trace 0, so the
     trace vanishes exactly when the identity string's coefficient does.
     """
-    p = [Fraction(x) for x in p]
+    p = [x if type(x) is Fraction else Fraction(x) for x in p]
     terms = model.hamiltonian_strings(p)
     omega2 = sum((x * x for x in p), Fraction(0)) + model.mass * model.mass
     want = {(0, 0): ExactScalar(omega2)} if omega2 else {}
     square_ok = pauli.square_sum(terms) == want
-    trace_zero = not sum((c for c, x, z in terms if not x and not z), ZERO)
+    trace = [pauli.scalar(r, k) for r, k, x, z in terms if not x and not z]
+    trace_zero = not sum(trace, ZERO)
     return {
         "d": model.d,
         "mass": model.mass,
@@ -73,7 +77,8 @@ class RepLabel:
 def _casimirs(model: DiracModel) -> tuple[list, list]:
     """The Casimirs A^2 = sum_i A_i^2 and B^2 = sum_i B_i^2 of the two
     commuting angular-momentum triples on a d=4 model, each a list of
-    strings in which a string may repeat.
+    terms in which a string may repeat (``pauli.square_terms``, like
+    strings not added).
 
     A_i = (rot_i - S_i4) / 2 and B_i = (rot_i + S_i4) / 2 where rot_i is
     the spatial-rotation generator S_jk with (i, j, k) cyclic and
@@ -84,9 +89,9 @@ def _casimirs(model: DiracModel) -> tuple[list, list]:
     al = model.gamma.alpha
 
     def half_spin(k, l, sign=1):
-        # sign * S_kl / 2 as one string
-        quarter_i = ExactScalar(0, Fraction(sign, 4))
-        return pauli.mul((quarter_i, 0, 0), pauli.mul(al[l - 1], al[k - 1]))
+        # sign * S_kl / 2 = (sign/4) * i * alpha_l * alpha_k as one term
+        r, phase, x, z = pauli.mul(al[l - 1], al[k - 1])
+        return Fraction(sign, 4) * r, (phase + 1) & 3, x, z
 
     # rot_i / 2 = S_jk / 2 for i = 1, 2, 3, built once for both Casimirs
     rotations = [half_spin(2, 3), half_spin(3, 1), half_spin(1, 2)]
@@ -95,7 +100,7 @@ def _casimirs(model: DiracModel) -> tuple[list, list]:
         terms = []
         for i, rot in enumerate(rotations, start=1):
             a_i = [rot, half_spin(i, 4, sign)]  # A_i, then B_i
-            terms += [(c, x, z) for (x, z), c in pauli.square_sum(a_i).items()]
+            terms += pauli.square_terms(a_i)
         casimirs.append(terms)
     return casimirs[0], casimirs[1]
 
@@ -123,7 +128,8 @@ def little_group_labels(model: DiracModel) -> list[RepLabel]:
         raise ValueError("massless little group is out of scope")
     a2, b2 = _casimirs(model)
     n = model.dim
-    branch_beta = [pauli.mul((ExactScalar(model.branch), 0, 0), model.beta_string)]
+    r, k, x, z = model.beta_string
+    branch_beta = [(model.branch * r, k, x, z)]
     spins = {j * (j + 1): j for j in _J_CANDIDATES}
     labels = []
     for (s, a, b), dim in pauli.joint_spectrum([branch_beta, a2, b2], n).items():
@@ -260,20 +266,23 @@ class DensityState:
         self.matrix = rho
 
 
+_PHASES = (1, 1j, -1, -1j)
+
+
 def evolution_operator(model: DiracModel, p, t: float) -> np.ndarray:
     """exp(-i H(p) t) via the spectral split H^2 = omega^2 I.
 
-    H(p) is written in floats from its strings: c * X^x Z^z puts
-    c * (-1)^|(r^x)&z| in row r, column r^x."""
+    H(p) is written in floats from its terms: r * i^k * X^x Z^z puts
+    r * i^k * (-1)^|(row^x)&z| in each row, column row^x."""
     import numpy as np
 
     p = [Fraction(x) for x in p]
     n = model.dim
     rows = [[0j] * n for _ in range(n)]
-    for c, x, z in model.hamiltonian_strings(p):
-        v = complex(float(c.re), float(c.im))
-        for r, row in enumerate(rows):
-            col = r ^ x
+    for r, k, x, z in model.hamiltonian_strings(p):
+        v = float(r) * _PHASES[k]
+        for i, row in enumerate(rows):
+            col = i ^ x
             row[col] += -v if pauli.parity(col & z) else v
     h = np.array(rows)
     omega2 = float(sum((x * x for x in p), Fraction(0)) + model.mass**2)

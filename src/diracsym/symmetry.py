@@ -11,17 +11,17 @@ T(G) is the transformed generator (``transform``): t -> t_sign*t,
 x -> x_sign*x, p -> x_sign*p (with an extra sign flip of p and conjugated
 coefficients when S is antilinear).
 
-The generators are given in closed form, every coefficient one scalar
-times one Pauli string (``models.generator``), so the equation is
-diagonal in strings: a string tau either solves all of it or none of it,
-and the strings that solve it are the solutions of an affine system over
-GF(2) (``pauli``) with one row per distinct coefficient string.  A row's
+The generators are given in closed form, every coefficient one Pauli
+term q*i^k*P (``models.generator``), so the equation is diagonal in
+strings: a string tau either solves all of it or none of it, and the
+strings that solve it are the solutions of an affine system over GF(2)
+(``pauli``) with one row per distinct coefficient string.  A row's
 right-hand side is an integer sign: a coefficient q*i^k*P keeps its
 rational size q under T, so the monomial's sign and, for an antilinear
-S, whether the coefficient is real or imaginary decide it
-(``_string_rows``).  The rotations are brackets of boosts, Jkl =
-i[J0k, J0l], so when eps(Jkl) = (-1)^antilinear, as for every built-in
-candidate, the rows of the generating set P0, Pk, J0k decide the cell.
+S, the parity of k decide it (``_string_rows``).  The rotations are
+brackets of boosts, Jkl = i[J0k, J0l], so when eps(Jkl) =
+(-1)^antilinear, as for every built-in candidate, the rows of the
+generating set P0, Pk, J0k decide the cell.
 Each of its terms is one of seven types:
 
     (P0, p_j, alpha_j), (P0, 1, bm*beta), (Pk, p_k, I),
@@ -29,7 +29,7 @@ Each of its terms is one of seven types:
     (J0k, 1, (i/2)*alpha_k),
 
 with bm = branch*mass.  A type fixes the term's sign, and the gamma
-coefficients fix whether its coefficient is real or imaginary, so the
+phase exponents fix whether its coefficient is real or imaginary, so the
 rows are read off this table and the masks of the d + 2 strings I, beta
 and alpha_j (``_type_rows``): no generator is built, and no string
 product or scalar arithmetic is done.  ``include_j=False`` reads the P0
@@ -155,19 +155,21 @@ CANDIDATES[TP_LITERAL.name] = TP_LITERAL
 
 
 def transform(gen: dict, cand: SymmetryCandidate) -> dict:
-    """T(G) of a generator {monomial: string (c, x, z)}: each monomial's
-    string times its sign (``_term_sign``), with c conjugated when S is
-    antilinear.  The strings X^x Z^z are real, so conjugation touches c
-    alone.
+    """T(G) of a generator {monomial: term (r, k, x, z)}: each monomial's
+    term times its sign (``_term_sign``), which adds 2 to k, with the
+    phase conjugated when S is antilinear, k -> -k.  The strings X^x Z^z
+    and the magnitude r are real, so conjugation touches k alone.
 
     tau is deliberately not applied; the result is T(G) so that the
     intertwiner constraint reads tau*T(G) = eps*G*tau.
     """
     out = {}
-    for mono, (c, x, z) in gen.items():
+    for mono, (r, k, x, z) in gen.items():
         if cand.antilinear:
-            c = c.conjugate()
-        out[mono] = (-c if _term_sign(mono, cand) < 0 else c), x, z
+            k = -k
+        if _term_sign(mono, cand) < 0:
+            k += 2
+        out[mono] = r, k & 3, x, z
     return out
 
 
@@ -214,13 +216,13 @@ def _reads_generating_set(cand: SymmetryCandidate) -> bool:
 def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
-    Every generator coefficient is a string B = lam*P, and its image in
-    T(G) is A = lam_A*P with lam_A = s*lam, or s*conj(lam) when S is
-    antilinear, s the monomial's sign.  Then S*A = eps*B*S iff
-    (-1)^<S,P>*lam_A = eps*lam.  A real lam has lam_A = s*lam, and an
-    imaginary one under an antilinear S has lam_A = -s*lam, so
-    lam_A/lam is an integer sign r and the row is <S,P> = [eps != r],
-    whatever the rational size of lam.
+    Every generator coefficient is a term B = lam*P with lam = q*i^k, and
+    its image in T(G) is A = lam_A*P with lam_A = s*lam, or s*conj(lam)
+    when S is antilinear, s the monomial's sign.  Then S*A = eps*B*S iff
+    (-1)^<S,P>*lam_A = eps*lam.  A real lam (k even) has lam_A = s*lam,
+    and an imaginary one (k odd) under an antilinear S has
+    lam_A = -s*lam, so lam_A/lam is an integer sign r and the row is
+    <S,P> = [eps != r], whatever the rational size q.
 
     When S obeys eps(Jkl) = (-1)^antilinear, and whenever
     ``include_j=False``, the rows are read off the seven term types of
@@ -310,31 +312,28 @@ def _type_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
 
 def _type_strings(model: DiracModel):
     """(symplectic mask, imaginary) of alpha_1..alpha_d, and of beta, or
-    None for beta when the mass is 0, read off the gamma strings with no
+    None for beta when the mass is 0, read off the gamma terms with no
     product: alpha_j = gamma_0*gamma_j is the string x0^xj, z0^zj with
-    coefficient +-c0*cj, imaginary exactly when one of c0, cj is, since
-    both are +-1 or +-i."""
+    phase exponent k0 + kj + 2|z0&xj|, odd exactly when one of k0, kj
+    is."""
     nq = pauli.qubits(model.dim)
-    (c0, x0, z0), *spatial = model.gamma.strings
-    im0 = bool(c0.im)
+    (_, k0, x0, z0), *spatial = model.gamma.strings
     alphas = [
-        (pauli.symplectic_mask(x0 ^ x, z0 ^ z, nq), im0 != bool(c.im))
-        for c, x, z in spatial
+        (pauli.symplectic_mask(x0 ^ x, z0 ^ z, nq), bool((k0 ^ k) & 1))
+        for _, k, x, z in spatial
     ]
     if not model.mass:
         return alphas, None
-    c, x, z = model.beta_string
-    return alphas, (pauli.symplectic_mask(x, z, nq), bool(c.im))
+    _, k, x, z = model.beta_string
+    return alphas, (pauli.symplectic_mask(x, z, nq), bool(k & 1))
 
 
 def _generator_rows(model: DiracModel, cand: SymmetryCandidate, gens):
     """The rows of ``_string_rows`` term by term over the generators
-    ``gens``, each monomial's sign from ``_term_sign``.  A coefficient
-    neither real nor imaginary under an antilinear S gives lam_A/lam off
-    +-1: the contradiction 0 = 1.  Each distinct (mask, rhs) is emitted
-    once, in first-seen order.  An inconsistency is an identity-string
-    term whose row fails; only there is the exact residual
-    lam_A - eps*lam computed."""
+    ``gens``, each monomial's sign from ``_term_sign``.  Each distinct
+    (mask, rhs) is emitted once, in first-seen order.  An inconsistency
+    is an identity-string term whose row fails; only there is the exact
+    residual lam_A - eps*lam computed."""
     nq = pauli.qubits(model.dim)
     antilinear = cand.antilinear
     rows = {}
@@ -342,17 +341,14 @@ def _generator_rows(model: DiracModel, cand: SymmetryCandidate, gens):
     for cls, label, g in gens:
         eps = cand.eps(cls)
         for mono in sorted(g):
-            lam, x, z = g[mono]
+            q, k, x, z = g[mono]
             sign = _term_sign(mono, cand)
-            if antilinear and lam.im and lam.re:
-                row = (0, 1)
-            else:
-                r = -sign if antilinear and lam.im else sign
-                row = (pauli.symplectic_mask(x, z, nq), int(eps != r))
+            r = -sign if antilinear and k & 1 else sign
+            row = (pauli.symplectic_mask(x, z, nq), int(eps != r))
             rows[row] = None
             if row[1] and not (x or z):
-                lam_a = lam.conjugate() if antilinear else lam
-                resid = (lam_a if sign > 0 else -lam_a) - ExactScalar(eps) * lam
+                # lam_A - eps*lam = (r - eps)*lam
+                resid = pauli.scalar(q, k) * ExactScalar(r - eps)
                 inconsistencies.append(
                     {"generator": label, "monomial": mono, "scale": resid}
                 )
@@ -420,8 +416,8 @@ def _solve_span(model: DiracModel, rows, span: list):
     nq = pauli.qubits(n)
     by_string = {}
     for s, mon in enumerate(span):
-        c, x, z = mon.string
-        by_string.setdefault(pauli.pack(x, z, nq), {})[s] = c
+        r, k, x, z = mon.string
+        by_string.setdefault(pauli.pack(x, z, nq), {})[s] = pauli.scalar(r, k)
     rref = _Rref()
     first_string = None
     for string, row in by_string.items():
@@ -544,11 +540,11 @@ def verify_tau(
     for cls, _, g in model.generators:
         if not include_j and cls in ("Jkl", "J0k"):
             continue
-        eps = ExactScalar(cand.eps(cls))
+        shift = 0 if cand.eps(cls) > 0 else 2
         tg = transform(g, cand)
-        for mono, (c, x, z) in g.items():
+        for mono, (r, k, x, z) in g.items():
             lhs = pauli.mul_sums(terms, [tg[mono]])
-            rhs = pauli.mul_sums([(eps * c, x, z)], terms)
+            rhs = pauli.mul_sums([(r, (k + shift) & 3, x, z)], terms)
             if lhs != rhs:
                 return False
     return True

@@ -11,9 +11,14 @@ the two check each other.  The oracle has no strings, so it finds its
 invertible representative by a determinant scan (``invertible_element``)
 where the engine takes its first solution string.
 
+``dense_terms`` encodes a sum of Pauli terms (r, k, x, z) =
+r * i^k * X^x Z^z entry by entry with exact scalar arithmetic
+(``term_scalar``), apart from ``diracsym.pauli``; every dense form of a
+term below goes through it.
+
 ``OperatorSymbol`` is a normal-ordered polynomial in t, x_k, p_k with
 exact dense matrix coefficients; ``symbol`` encodes a closed-form
-generator {monomial: string} as one, and ``dense_transform`` applies a
+generator {monomial: term} as one, and ``dense_transform`` applies a
 candidate's coordinate and conjugation calculus to it, entry by entry.
 ``dense_verify_tau`` is the intertwiner check on these symbols, with one
 n x n matrix product per side and monomial, where
@@ -74,6 +79,29 @@ from diracsym.symmetry import (
     _term_sign,
     clifford2_span,
 )
+
+
+_I_POWERS = (ExactScalar(1), ExactScalar(0, 1), ExactScalar(-1), ExactScalar(0, -1))
+
+
+def term_scalar(r, k: int) -> ExactScalar:
+    """The coefficient r * i^k of a term, by exact scalar arithmetic."""
+    return ExactScalar(Fraction(r)) * _I_POWERS[k % 4]
+
+
+def dense_terms(terms, n: int) -> ExactMatrix:
+    """The n x n matrix of a sum of terms (r, k, x, z): X^x Z^z sends
+    |col> with col = row^x to |row> with the sign (-1)^|col&z|, so each
+    term adds r * i^k times that sign at (row, col)."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for r, k, x, z in terms:
+        c = term_scalar(r, k)
+        for row in range(n):
+            col = row ^ x
+            v = -c if bin(col & z).count("1") % 2 else c
+            old = rows[row][col]
+            rows[row][col] = v if old is ZERO else old + v
+    return ExactMatrix._make(rows)
 
 
 class OperatorSymbol:
@@ -152,11 +180,10 @@ class OperatorSymbol:
 
 
 def symbol(model: DiracModel, gen: dict) -> OperatorSymbol:
-    """A {monomial: string} generator as a dense operator symbol."""
+    """A {monomial: term} generator as a dense operator symbol."""
     n = model.dim
-    return OperatorSymbol(
-        model.d, n, {mono: pauli.encode(*s, n) for mono, s in gen.items()}
-    )
+    terms = {mono: dense_terms([s], n) for mono, s in gen.items()}
+    return OperatorSymbol(model.d, n, terms)
 
 
 def dense_transform(sym: OperatorSymbol, cand: SymmetryCandidate) -> OperatorSymbol:
@@ -538,9 +565,9 @@ _J_CANDIDATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fract
 
 
 def _dense_casimirs(model: DiracModel) -> tuple[ExactMatrix, ExactMatrix]:
-    """The engine's Casimir string sums, encoded once as dense matrices."""
+    """The engine's Casimir term sums, encoded once as dense matrices."""
     a2, b2 = _casimirs(model)
-    return pauli.encode_sum(a2, model.dim), pauli.encode_sum(b2, model.dim)
+    return dense_terms(a2, model.dim), dense_terms(b2, model.dim)
 
 
 def _shifted_rows(casimir: ExactMatrix) -> list:
@@ -578,12 +605,12 @@ def dense_little_group_labels(model: DiracModel) -> list[RepLabel]:
     n = model.dim
     # H(0)/mass = branch*beta squares to I, so the kernel of
     # branch*beta - s*I is the eigenspace of energy sign s
-    c, x, z = model.beta_string
-    branch_beta = (c * ExactScalar(model.branch), x, z)
+    r, k, x, z = model.beta_string
+    branch_beta = (model.branch * r, k, x, z)
     a_shifted, b_shifted = _shifted_rows(a2), _shifted_rows(b2)
     labels = []
     for sign in (1, -1):
-        proj_rows = pauli.encode_sum([branch_beta, (ExactScalar(-sign), 0, 0)], n).rows
+        proj_rows = dense_terms([branch_beta, (-sign, 0, 0, 0)], n).rows
         # a joint eigenspace lies inside both one-Casimir eigenspaces, so
         # only the j1 and j2 whose own eigenspace is nonzero are paired
         live_a = _live_candidates(proj_rows, a_shifted, n)
@@ -628,7 +655,7 @@ def reference_string_rows(
 ):
     """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
-    Every generator coefficient is a string B = lam*P, and its image
+    Every generator coefficient is a term B = lam*P, and its image
     in T(G) is A = lam_A*P with lam_A from the same sign and conjugation
     rule as ``dense_transform``.  Then S*A = eps*B*S iff
     (-1)^<S,P>*lam_A = eps*lam: one row per (generator, monomial),
@@ -646,7 +673,8 @@ def reference_string_rows(
             continue
         eps = ExactScalar(cand.eps(cls))
         for mono in sorted(g):
-            lam, x, z = g[mono]
+            r, k, x, z = g[mono]
+            lam = term_scalar(r, k)
             lam_a = lam.conjugate() if cand.antilinear else lam
             if _term_sign(mono, cand) < 0:
                 lam_a = -lam_a

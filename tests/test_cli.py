@@ -375,6 +375,11 @@ _VALID = {
     cli._expectation: ["P:yes", "Tw:no", "C:yes", "PTC:no"],
 }
 _HUGE = str(10**40)
+# zero, negative and huge components, of each length a valid --dim takes
+_VALID[cli._momentum] = [
+    "0,0", "1,-3/7", f"{_HUGE},-1/{_HUGE}", "0,0,0,0", "1/2,-3,5/9,-7/4",
+    f"-{_HUGE},0,1/{_HUGE},2", "0,0,0,0,0,0", "1,2,3,4,5,6", f"1/3,0,-{_HUGE},2,-5,7/11",
+]
 _ADVERSARIAL = [
     "", " ", "\t", " 4 ", "1e5", "1E3", "1/0", "0/0", "-2", "-1/3", "0",
     _HUGE, "-" + _HUGE, "1/" + _HUGE, "é", "４", "٣", "π",
@@ -412,13 +417,24 @@ def _argv(draw, command):
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=st.sampled_from(["solve-tau", "classify"]).flatmap(_argv))
+@given(
+    argv=st.sampled_from(["solve-tau", "classify", "gamma", "spectrum", "labels"]).flatmap(
+        _argv
+    )
+)
 @example(argv=["solve-tau", "--dim", "４", "--symmetry", "Tw", "--mass", "1/" + _HUGE])
 @example(argv=["solve-tau", "--dim", "4", "--symmetry", "C", "--variant", "doubled",
                "--ansatz", "clifford2"])
 @example(argv=["solve-tau", "--dim", "2", "--symmetry", "P", "--mass", "-1/3"])
 @example(argv=["classify", "--dims", "2", "--variants", "massless", "--mass", _HUGE,
                "--jobs", "4", "--expect", "C:yes"])
+@example(argv=["spectrum", "--dim", "2", "--mass", "0", "--p", "0,0"])
+@example(argv=["spectrum", "--dim", "4", "--mass", "-" + _HUGE, "--p", "0,0,0,0"])
+@example(argv=["spectrum", "--dim", "2", "--mass", "1/" + _HUGE, "--p", f"{_HUGE},-1/{_HUGE}"])
+@example(argv=["labels", "--variant", "doubled", "--mass", _HUGE])
+@example(argv=["labels", "--variant", "single-", "--mass", "0"])
+@example(argv=["labels", "--dim", "6", "--mass", "-5/3"])
+@example(argv=["gamma", "--dim", "6", "--json"])
 def test_solving_commands_exit_0_1_or_2_on_any_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -430,3 +446,57 @@ def test_solving_commands_exit_0_1_or_2_on_any_argv(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 0 and "-h" not in argv:
         assert verify_certificate(json.loads(out.getvalue())), argv
+
+
+_DIGITS = "9" * 5000
+
+
+def _hash_valid(kind, results, **fields):
+    body = make_certificate(kind, {}, results, set())
+    del body["content_hash"]
+    body.update(fields)
+    return json.dumps({**body, "content_hash": content_hash(body)})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '[{"kind": "gamma"}]',
+        "5",
+        "-0.5",
+        "NaN",
+        "null",
+        '"gamma"',
+        _DIGITS,
+        '{"kind": "gamma", "content_hash": ' + _DIGITS + "}",
+        '{"flags": ' + _DIGITS + "}",
+        '{"kind": "spectrum", "flags": {}, "results": {"omega2": NaN}}',
+        '{"kind": "classify", "flags": [], "results": {}}',
+        '{"kind": "classify", "flags": "gamma_recursion_normalization"}',
+        '{"kind": 5, "flags": {}}',
+        _hash_valid("classify", {"table": [{"d": 2, "variant": "single", "entries": []}],
+                                 "mismatches": []}),
+        _hash_valid("classify", {"table": [{"d": 2, "variant": "single",
+                                            "entries": [["P", {"exists": True}]]}],
+                                 "mismatches": []}),
+        _hash_valid("classify", {"table": {"d": 2}, "mismatches": 5}),
+        _hash_valid("classify", {"table": [5], "mismatches": []}),
+        _hash_valid("classify", {"table": [], "mismatches": []}, flags=[]),
+        _hash_valid("spectrum", {"omega2": float("nan")}),
+        _hash_valid("spectrum", {"omega2": int(_DIGITS[:4000])}),
+        _hash_valid(5, []),
+    ],
+)
+def test_report_exits_0_1_or_2_on_json_of_any_shape(tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["report", str(path)])
+    assert code in (0, 1, 2), (text[:80], code)
+    assert "Traceback" not in err.getvalue(), text[:80]
+    if text == _DIGITS and hasattr(sys, "get_int_max_str_digits"):
+        # past the digit limit json.load raises a plain ValueError
+        assert code == 1
+        assert f"{path}: unreadable certificate: " in err.getvalue()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diracsym import ExactMatrix, ExactScalar, pauli, solve_tau, verify_tau
-from diracsym import exact, models, symmetry
+from diracsym import exact, models, spectra, symmetry
 from diracsym.certificate import tau_solution_json
 from diracsym.exact import I_UNIT, ONE
 from diracsym.models import DiracModel, model_for
@@ -25,7 +25,7 @@ from diracsym.symmetry import (
     model_for_variant,
 )
 
-from dense_oracle import dense_solve_tau, reference_string_rows
+from dense_oracle import dense_solve_tau, dense_terms, reference_string_rows, term_scalar
 
 EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
@@ -78,36 +78,29 @@ def test_all_stored_cells_match():
 
 
 def _tilted(real, cls, factor):
-    """``generator`` with every coefficient of one class scaled by factor."""
+    """``generator`` with every coefficient of one class scaled by
+    factor = (q, j), the scalar q * i^j."""
+    q, j = factor
 
     def gen(model, which, k=0, l=0):
         g = real(model, which, k=k, l=l)
         if which == cls:
-            g = {mono: (c * factor, x, z) for mono, (c, x, z) in g.items()}
+            g = {mono: (r * q, (k + j) & 3, x, z) for mono, (r, k, x, z) in g.items()}
         return g
 
     return gen
 
 
-def test_ratio_off_the_unit_signs_empties_the_cell(monkeypatch):
-    # a (1+i)*I momentum coefficient: an antilinear candidate meets
-    # r = +-(1+i)/(1-i) = +-i, which no string and no dense tau satisfies.
-    # The type table reads no generator, so the cells take the per-term
-    # path over every generator, which reads the tilted ones.
-    monkeypatch.setattr(
-        models, "generator", _tilted(models.generator, "Pk", ExactScalar(1, 1))
-    )
-    monkeypatch.setattr(symmetry, "_reads_generating_set", lambda cand: False)
-    model = model_for(4)
-    for name in ("P", "Tw", "C", "TpC"):
-        got = solve_tau(model, CANDIDATES[name])
-        want = dense_solve_tau(model, CANDIDATES[name])
-        assert _cert_bytes(got) == _cert_bytes(want), name
-        assert got.exists == (not CANDIDATES[name].antilinear), name
-
-
 _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-_nonzero = st.tuples(_rationals, _rationals).filter(any).map(lambda p: ExactScalar(*p))
+_phases = st.integers(0, 3)
+# a magnitude is an int where a unit string needs no rational, and a
+# Fraction elsewhere
+_magnitudes = st.integers(-3, 3) | _rationals
+_nonzero_magnitudes = _magnitudes.filter(bool)
+
+
+def _terms(masks, magnitudes=_nonzero_magnitudes):
+    return st.tuples(magnitudes, _phases, masks, masks)
 
 
 @st.composite
@@ -115,93 +108,99 @@ def _string_pairs(draw):
     q = draw(st.integers(0, 3))
     n = 1 << q
     masks = st.integers(0, n - 1)
-    a = (draw(_nonzero), draw(masks), draw(masks))
-    b = (draw(_nonzero), draw(masks), draw(masks))
-    return a, b, n
+    return draw(_terms(masks)), draw(_terms(masks)), n
 
 
 @settings(max_examples=200, deadline=None)
 @given(_string_pairs())
+@example(((1, 3, 1, 1), (Fraction(-2, 3), 2, 1, 0), 2))  # -iXZ * (-2/3)(-1)X
 def test_string_product_matches_dense_matmul(s):
     a, b, n = s
     assert pauli.encode(*pauli.mul(a, b), n) == pauli.encode(*a, n) @ pauli.encode(*b, n)
+    assert pauli.encode(*a, n) == dense_terms([a], n)
+    assert pauli.mul(a, b)[1] in range(4)
     # the encoding is the product of one-qubit factors X^x Z^z
-    c, x, z = a
-    for r, row in enumerate(pauli.encode(c, x, z, n).rows):
-        col = r ^ x
+    r, k, x, z = a
+    for row_index, row in enumerate(pauli.encode(r, k, x, z, n).rows):
+        col = row_index ^ x
         sign = (-1) ** bin(col & z).count("1")
         assert [j for j, v in enumerate(row) if v] == [col]
-        assert row[col] == c * ExactScalar(sign)
+        assert row[col] == term_scalar(r, k) * ExactScalar(sign)
+
+
+def test_unit_terms_encode_to_shared_scalars():
+    # the four units of every phase, with int and Fraction magnitudes
+    shared = {id(ONE), id(I_UNIT), id(exact.MINUS_ONE), id(exact.MINUS_I)}
+    for k in range(4):
+        for r in (1, -1, Fraction(1), Fraction(-1)):
+            m = pauli.encode(r, k, 3, 5, 8)
+            assert {id(v) for row in m.rows for v in row if v} <= shared
+            assert m == dense_terms([(r, k, 3, 5)], 8)
+    assert pauli.scalar(Fraction(2, 3), 3) == ExactScalar(0, Fraction(-2, 3))
 
 
 @st.composite
 def _string_sums(draw):
     q = draw(st.integers(0, 3))
     n = 1 << q
-    masks = st.integers(0, n - 1)
-    term = st.tuples(_nonzero, masks, masks)
+    term = _terms(st.integers(0, n - 1))
     return draw(st.lists(term, max_size=4)), draw(st.lists(term, max_size=4)), n
-
-
-def _dense_sum(terms, n):
-    total = ExactMatrix.zero(n)
-    for t in terms:
-        total = total + pauli.encode(*t, n)
-    return total
 
 
 @settings(max_examples=200, deadline=None)
 @given(_string_sums())
 def test_string_sums_match_dense_sums_and_products(s):
     a, b, n = s
-    dense_a = _dense_sum(a, n)
+    dense_a = dense_terms(a, n)
     assert pauli.encode_sum(a, n) == dense_a
     product = pauli.mul_sums(a, b)
     assert all(product.values())
-    terms = [(c, x, z) for (x, z), c in product.items()]
-    assert pauli.encode_sum(terms, n) == dense_a @ _dense_sum(b, n)
+    terms = [(c.re, 0, x, z) for (x, z), c in product.items()]
+    terms += [(c.im, 1, x, z) for (x, z), c in product.items()]
+    assert pauli.encode_sum(terms, n) == dense_a @ dense_terms(b, n)
 
 
 def test_string_sum_product_cancels_to_empty():
     # (X + Z)(X - Z) = 1 - XZ + ZX - 1 = -2XZ, and (X + XZ)^2 = 0 because
     # XZ anticommutes with X and squares to -1
-    x, z, xz = (ONE, 1, 0), (ONE, 0, 1), (ONE, 1, 1)
-    assert pauli.mul_sums([x, z], [x, (-ONE, 0, 1)]) == {(1, 1): ExactScalar(-2)}
+    x, z, xz = (1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 1, 1)
+    assert pauli.mul_sums([x, z], [x, (1, 2, 0, 1)]) == {(1, 1): ExactScalar(-2)}
     assert pauli.mul_sums([x, xz], [x, xz]) == {}
-
-
-_coefficients = st.tuples(_rationals, _rationals).map(lambda p: ExactScalar(*p))
 
 
 @st.composite
 def _square_sums(draw):
     # strings drawn from a small pool, so that masks repeat and commuting
-    # and anticommuting pairs mix; zero and complex coefficients included
+    # and anticommuting pairs mix; zero magnitudes and every phase included
     q = draw(st.integers(1, 4))
     masks = st.integers(0, (1 << q) - 1)
     pool = draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=4))
-    term = st.tuples(_coefficients, st.sampled_from(pool)).map(lambda t: (t[0], *t[1]))
-    return draw(st.lists(term, max_size=6))
+    term = st.tuples(_magnitudes, _phases, st.sampled_from(pool))
+    return draw(st.lists(term.map(lambda t: (t[0], t[1], *t[2])), max_size=6))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_square_sums())
 @example([])
-@example([(ONE, 1, 0), (ONE, 1, 1)])  # X + XZ: anticommuting, squares cancel
-@example([(ONE, 1, 0), (ExactScalar(0, 2), 1, 0)])  # one string twice
-@example([(ONE, 1, 0), (ExactScalar(-3), 2, 0), (I_UNIT, 3, 3)])  # commuting pairs
-@example([(ExactScalar(0), 1, 2), (ONE, 0, 1), (ExactScalar(1, -1), 3, 0)])
+@example([(1, 0, 1, 0), (1, 0, 1, 1)])  # X + XZ: anticommuting, squares cancel
+@example([(1, 0, 1, 0), (2, 1, 1, 0)])  # one string twice
+@example([(1, 0, 1, 0), (-3, 0, 2, 0), (1, 1, 3, 3)])  # commuting pairs
+@example([(0, 0, 1, 2), (1, 0, 0, 1), (1, 0, 3, 0), (1, 3, 3, 0)])
+@example([(Fraction(1, 2), 1, 1, 0), (Fraction(-1, 2), 3, 1, 0)])  # (i/2)X twice
 def test_square_sum_is_the_product_of_a_sum_with_itself(terms):
     got = pauli.square_sum(terms)
     assert got == pauli.mul_sums(terms, terms)
     assert all(got.values())
+    n = 1 << max((x | z).bit_length() for _, _, x, z in terms) if terms else 1
+    square = dense_terms(pauli.square_terms(terms), n)
+    assert square == dense_terms(terms, n) @ dense_terms(terms, n)
 
 
 @st.composite
 def _commuting_sums(draw):
     # masks drawn from the span of random commuting strings, so the sums
     # hold dependent strings S, P and S*P, strings with odd |x&z|, zero
-    # and complex coefficients, and strings repeated across sums
+    # magnitudes and every phase, and strings repeated across sums
     q = draw(st.integers(0, 3))
     n = 1 << q
     masks = st.integers(0, n - 1)
@@ -209,20 +208,21 @@ def _commuting_sums(draw):
     for gx, gz in draw(st.lists(st.tuples(masks, masks), max_size=4)):
         if not any(pauli.parity((x & gz) ^ (z & gx)) for x, z in span):
             span |= {(x ^ gx, z ^ gz) for x, z in span}
-    term = st.tuples(_coefficients, st.sampled_from(sorted(span)))
-    terms = st.lists(term.map(lambda t: (t[0], *t[1])), max_size=5)
+    term = st.tuples(_magnitudes, _phases, st.sampled_from(sorted(span)))
+    terms = st.lists(term.map(lambda t: (t[0], t[1], *t[2])), max_size=5)
     return draw(st.lists(terms, min_size=1, max_size=3)), n
 
 
 @settings(max_examples=200, deadline=None)
 @given(_commuting_sums())
 @example(([[]], 1))
-@example(([[(ExactScalar(0), 0, 0)], [(ExactScalar(2, 1), 0, 0)]], 2))
+@example(([[(0, 0, 0, 0)], [(2, 0, 0, 0), (1, 1, 0, 0)]], 2))
 # XX, ZZ and their product, which repeats XX with a complex coefficient
-@example(([[(ONE, 3, 0), (ONE, 0, 3)], [(ExactScalar(2), 3, 3), (I_UNIT, 3, 0)]], 4))
+@example(([[(1, 0, 3, 0), (1, 0, 0, 3)], [(2, 0, 3, 3), (1, 1, 3, 0)]], 4))
 # XZ on the low qubit squares to -1, so its eigenvalues are +-i
-@example(([[(ONE, 1, 1)], [(I_UNIT, 1, 1), (ExactScalar(0), 2, 0)]], 4))
-@example(([[(ONE, 1, 1), (ExactScalar(1, 3), 6, 4)], [(ONE, 7, 5)]], 8))
+@example(([[(1, 0, 1, 1)], [(1, 1, 1, 1), (0, 0, 2, 0)]], 4))
+@example(([[(1, 0, 1, 1), (1, 0, 6, 4), (3, 1, 6, 4)], [(1, 0, 7, 5)]], 8))
+@example(([[(Fraction(1, 3), 3, 1, 0), (Fraction(-1, 3), 1, 1, 0)]], 2))  # cancels
 def test_joint_spectrum_matches_dense_nullities(s):
     sums, n = s
     got = pauli.joint_spectrum(sums, n)
@@ -231,7 +231,7 @@ def test_joint_spectrum_matches_dense_nullities(s):
         rows = [
             row
             for terms, v in zip(sums, values)
-            for row in pauli.encode_sum([*terms, (-v, 0, 0)], n).rows
+            for row in (dense_terms(terms, n) - ExactMatrix.identity(n).scale(v)).rows
         ]
         assert len(exact.nullspace(rows, n)) == dim, values
 
@@ -239,9 +239,9 @@ def test_joint_spectrum_matches_dense_nullities(s):
 @pytest.mark.parametrize(
     "sums",
     [
-        [[(ONE, 1, 0)], [(ONE, 0, 1)]],  # X and Z
-        [[(ONE, 1, 0), (ONE, 0, 1)]],  # X + Z commutes with itself, X with Z not
-        [[(ONE, 3, 0)], [(ONE, 0, 3)], [(ExactScalar(0, 2), 1, 0)]],  # X0 and ZZ
+        [[(1, 0, 1, 0)], [(1, 0, 0, 1)]],  # X and Z
+        [[(1, 0, 1, 0), (1, 0, 0, 1)]],  # X + Z commutes with itself, X with Z not
+        [[(1, 0, 3, 0)], [(1, 0, 0, 3)], [(2, 1, 1, 0)]],  # X0 and ZZ
     ],
 )
 def test_joint_spectrum_refuses_anticommuting_strings(sums):
@@ -251,14 +251,48 @@ def test_joint_spectrum_refuses_anticommuting_strings(sums):
 
 def test_joint_spectrum_refuses_a_string_wider_than_n():
     with pytest.raises(ValueError, match="does not act on 4 states"):
-        pauli.joint_spectrum([[(ONE, 0, 0)], [(ONE, 4, 0)]], 4)
+        pauli.joint_spectrum([[(1, 0, 0, 0)], [(1, 0, 4, 0)]], 4)
 
 
 def test_joint_spectrum_skips_strings_that_add_to_zero():
     # Z - Z is no string of the sum, so it cannot anticommute with X
-    sums = [[(ONE, 1, 0)], [(ONE, 0, 1), (-ONE, 0, 1), (ExactScalar(0), 1, 1)]]
+    sums = [[(1, 0, 1, 0)], [(1, 0, 0, 1), (1, 2, 0, 1), (0, 0, 1, 1)]]
     zero = ExactScalar(0)
     assert pauli.joint_spectrum(sums, 2) == {(ONE, zero): 1, (-ONE, zero): 1}
+
+
+def _canonical(terms):
+    """{(x, z): r * i^k summed} with the zeros dropped, by the oracle's
+    scalar arithmetic."""
+    out = {}
+    for r, k, x, z in terms:
+        out[x, z] = out.get((x, z), ExactScalar(0)) + term_scalar(r, k)
+    return {key: c for key, c in out.items() if c}
+
+
+@st.composite
+def _complex_matrices(draw):
+    n = 1 << draw(st.integers(0, 3))
+    parts = st.tuples(_rationals, _rationals).map(lambda p: ExactScalar(*p))
+    entries = draw(st.lists(st.just(exact.ZERO) | parts, min_size=n * n, max_size=n * n))
+    return ExactMatrix._make([entries[i * n : (i + 1) * n] for i in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_complex_matrices(), st.data())
+@example(ExactMatrix([[ExactScalar(Fraction(1, 3), -2)]]), None)
+def test_expand_round_trips_complex_matrices(m, data):
+    # m -> terms -> m through the oracle's own encoding, and terms ->
+    # matrix -> terms for random terms on the same n
+    n = m.dim
+    terms = pauli.expand(m)
+    assert dense_terms(terms, n) == m
+    assert all(r and k in (0, 1) for r, k, _, _ in terms)
+    assert len({(k, x, z) for _, k, x, z in terms}) == len(terms)
+    if data is not None:
+        drawn = data.draw(st.lists(_terms(st.integers(0, n - 1), _magnitudes), max_size=6))
+        again = pauli.expand(pauli.encode_sum(drawn, n))
+        assert _canonical(again) == _canonical(drawn)
 
 
 def test_solve_affine_lists_every_solution():
@@ -331,23 +365,19 @@ _positive = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=
     name=st.sampled_from(sorted(CANDIDATES)),
     include_j=st.booleans(),
     tilt=st.none()
-    | st.tuples(
-        st.sampled_from(GENERATOR_CLASSES),
-        _positive,
-        st.sampled_from([ONE, I_UNIT, -ONE, -I_UNIT, ExactScalar(1, 1), ExactScalar(2, -1)]),
-    ),
+    | st.tuples(st.sampled_from(GENERATOR_CLASSES), _positive, _phases),
 )
 @example(
     d=4, mass=Fraction(2, 3), branch=-1, doubled=False, name="C", include_j=True,
-    tilt=("P0", Fraction(3), ExactScalar(1, 1)),
+    tilt=("P0", Fraction(3), 3),
 )
 @example(
     d=4, mass=Fraction(5, 2), branch=1, doubled=True, name="Tw", include_j=True,
-    tilt=("Pk", Fraction(1, 2), I_UNIT),
+    tilt=("Pk", Fraction(1, 2), 1),
 )
 def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, include_j, tilt):
     # bm*beta carries q = branch*mass; a tilt scales one generator class
-    # by q*i^k, or by a factor neither real nor imaginary
+    # by q*i^k
     model = model_for(d, mass=mass, branch=branch, doubled=doubled)
     cand = CANDIDATES[name]
     if tilt is None:
@@ -357,8 +387,7 @@ def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, inc
     with pytest.MonkeyPatch.context() as mp:
         if tilt is not None:
             cls, q, phase = tilt
-            factor = ExactScalar(q) * phase
-            mp.setattr(models, "generator", _tilted(models.generator, cls, factor))
+            mp.setattr(models, "generator", _tilted(models.generator, cls, (q, phase)))
         # the per-term path, which reads the generator dicts, over the
         # generating set; a tilted Jkl class is no longer a bracket of
         # boosts, so only the rest must match all rows
@@ -512,16 +541,52 @@ def test_type_rows_hold_for_every_rule_candidate(d):
 
 @pytest.mark.parametrize("doubled", [False, True])
 def test_type_strings_read_the_gamma_coefficients(doubled):
-    # the masks and the imaginary bit against the alpha and beta strings
-    # that the gamma system and the model multiply out
+    # the masks and the imaginary bit against the alpha and beta terms
+    # that the gamma system and the model multiply out, and against the
+    # imaginary part of the oracle's scalar
     for d in range(2, 130, 2):
         model = model_for(d, doubled=doubled)
         nq = pauli.qubits(model.dim)
         alphas, beta = symmetry._type_strings(model)
         want = [
-            (pauli.symplectic_mask(x, z, nq), bool(c.im)) for c, x, z in model.gamma.alpha
+            (pauli.symplectic_mask(x, z, nq), bool(term_scalar(r, k).im))
+            for r, k, x, z in model.gamma.alpha
         ]
-        c, x, z = model.beta_string
+        r, k, x, z = model.beta_string
         assert alphas == want, d
-        assert beta == (pauli.symplectic_mask(x, z, nq), bool(c.im)), d
+        assert beta == (pauli.symplectic_mask(x, z, nq), bool(term_scalar(r, k).im)), d
     assert symmetry._type_strings(model_for(4, mass=0))[1] is None
+
+
+def _count_scalars(monkeypatch) -> list:
+    """Count every ExactScalar made, through __init__ or _make."""
+    made = []
+    init, make = ExactScalar.__init__, ExactScalar._make.__func__
+
+    def counting_init(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    def counting_make(cls, *args):
+        made.append(1)
+        return make(cls, *args)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counting_init)
+    monkeypatch.setattr(ExactScalar, "_make", classmethod(counting_make))
+    return made
+
+
+def test_unit_strings_make_no_exact_scalars(monkeypatch):
+    # gamma, alpha and beta terms carry an int magnitude and a phase
+    # exponent, and a momentum scales the magnitude alone; the dispersion
+    # check makes the identity coefficient of H(p)^2 and omega2
+    model = model_for(128, mass=Fraction(3, 7))
+    p = [Fraction((-1) ** k * (k + 1), k + 2) for k in range(128)]
+    made = _count_scalars(monkeypatch)
+    models.system_for(128).alpha
+    assert made == []
+    assert len(model.hamiltonian_strings(p)) == 129
+    assert made == []
+    fresh = model_for(8, mass=Fraction(3, 7), doubled=True)
+    assert spectra.dispersion_check(fresh, p[:8])["ok"]
+    assert len(made) <= 2

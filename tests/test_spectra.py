@@ -33,6 +33,7 @@ from dense_oracle import (
     dense_evolution_operator,
     dense_hamiltonian,
     dense_little_group_labels,
+    dense_terms,
 )
 
 _LABEL_VARIANTS = ("single", "single-", "doubled")
@@ -167,11 +168,13 @@ class TestHamiltonianStrings:
         terms = model.hamiltonian_strings(p)
         strings = [*model.gamma.alpha, model.beta_string]
         kept = [0, 2, 3, 4]  # p_2 = 0 is dropped
-        assert [(x, z) for _, x, z in terms] == [strings[k][1:] for k in kept]
+        # a coefficient scales the magnitude and keeps the string's phase
+        assert [t[1:] for t in terms] == [strings[k][1:] for k in kept]
         coeffs = [*p, Fraction(-3)]
-        for (c, _, _), k in zip(terms, kept):
-            assert c == strings[k][0] * ExactScalar(coeffs[k])
+        for (r, _, _, _), k in zip(terms, kept):
+            assert r == strings[k][0] * coeffs[k]
         assert pauli.encode_sum(terms, model.dim) == model.hamiltonian_matrix(p)
+        assert dense_terms(terms, model.dim) == dense_hamiltonian(model, p)
 
     def test_massless_rest_has_no_terms(self):
         assert model_for(6, mass=0).hamiltonian_strings([0] * 6) == []
@@ -253,14 +256,14 @@ class TestLabelsAgainstDenseOracle:
         model = model_for(4, mass=2)
         a2, _ = spectra._casimirs(model)
         # X on the low qubit anticommutes with the Z string of A^2
-        monkeypatch.setattr(spectra, "_casimirs", lambda m: (a2, [(exact.ONE, 1, 0)]))
+        monkeypatch.setattr(spectra, "_casimirs", lambda m: (a2, [(1, 0, 1, 0)]))
         with pytest.raises(ArithmeticError, match="do not commute"):
             little_group_labels(model)
 
     def test_partial_block_raises(self, monkeypatch):
         # A^2 = 2 puts j1 = 1, a block of 3, on each energy eigenspace of
         # dimension 2
-        two = [(ExactScalar(2), 0, 0)]
+        two = [(2, 0, 0, 0)]
         monkeypatch.setattr(spectra, "_casimirs", lambda m: (two, []))
         with pytest.raises(ArithmeticError, match="whole number of blocks"):
             little_group_labels(model_for(4, mass=2))

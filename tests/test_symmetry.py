@@ -21,7 +21,7 @@ from diracsym import (
     verify_tau,
 )
 from diracsym import certificate, exact, models, pauli, symmetry
-from diracsym.exact import ONE, _Rref, nullspace_from_rref
+from diracsym.exact import _Rref, nullspace_from_rref
 from diracsym.symmetry import (
     C,
     PARITY,
@@ -264,7 +264,7 @@ class TestSolverSoundness:
 
 def _oracle_basis(strings, nq):
     n = 1 << nq
-    mats = [pauli.encode(ONE, *pauli.unpack(s, nq), n) for s in strings]
+    mats = [pauli.encode(1, 0, *pauli.unpack(s, nq), n) for s in strings]
     return _last_pivot_basis(mats)
 
 

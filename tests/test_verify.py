@@ -106,8 +106,9 @@ def _matrices(draw):
 def test_expand_inverts_encode_sum(m):
     terms = pauli.expand(m)
     assert pauli.encode_sum(terms, m.dim) == m
-    assert all(c for c, _, _ in terms)
-    assert len({(x, z) for _, x, z in terms}) == len(terms)
+    # a coefficient a + b*i is the terms (a, 0, x, z) and (b, 1, x, z)
+    assert all(r and k in (0, 1) for r, k, _, _ in terms)
+    assert len({(k, x, z) for _, k, x, z in terms}) == len(terms)
 
 
 @pytest.mark.parametrize("size", [2, 8])
