@@ -397,6 +397,7 @@ def _options(command):
 @st.composite
 def _argv(draw, command):
     pairs = []
+    dim = None  # the --dim argparse keeps, when it is a valid one
     for action in _options(command):
         opt = action.option_strings[0]
         if action.nargs == 0:  # -h and --json take no value
@@ -404,6 +405,10 @@ def _argv(draw, command):
                 pairs.append([opt])
             continue
         valid = list(action.choices or _VALID[action.type])
+        if action.type is cli._momentum and dim:
+            # mostly a momentum of the drawn length, so spectrum gets past
+            # the length check
+            valid = [v for v in valid if v.count(",") + 1 == dim] * 3 + valid
         adversarial = _ADVERSARIAL
         if action.type is cli._positive_int:
             adversarial = [v for v in _ADVERSARIAL if v != _HUGE]
@@ -411,6 +416,8 @@ def _argv(draw, command):
         for _ in range(draw(st.integers(1, 2)) if kind != "absent" else 0):
             pool = valid if kind == "valid" else adversarial
             pairs.append([opt, draw(st.sampled_from(pool))])
+            if opt == "--dim":
+                dim = int(pairs[-1][1]) if kind == "valid" else None
     pairs = draw(st.permutations(pairs))
     stray = draw(st.sampled_from([[], ["--seed", "1"], ["é"], [""]]))
     return [command, *(token for pair in pairs for token in pair), *stray]
