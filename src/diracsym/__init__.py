@@ -20,7 +20,6 @@ from .symmetry import (
     SymmetryCandidate,
     TauSolution,
     classify,
-    compose,
     composite_candidate,
     model_for_variant,
     solve_tau,
@@ -64,7 +63,6 @@ __all__ = [
     "SymmetryCandidate",
     "TauSolution",
     "classify",
-    "compose",
     "composite_candidate",
     "model_for_variant",
     "solve_tau",

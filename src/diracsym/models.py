@@ -4,10 +4,9 @@ The generators are given in closed form as {monomial: Pauli term}: a
 monomial in t, x_1..x_d, p_1..p_d in normal order (every x factor left of
 every p factor), and one term (r, k, x, z) = r * i^k * X^x Z^z of
 ``pauli`` as its matrix coefficient, so every coefficient is real or
-imaginary by construction.  ``verify_tau`` works on these terms, and so
-does the solver for a candidate off its generating-set rule; on the rule
-it reads its rows off the term types of P0, Pk and J0k instead
-(``symmetry._type_rows``).
+imaginary by construction.  ``verify_tau`` works on these terms; the
+solver reads its rows off their term types instead
+(``symmetry._string_rows``).
 Dense operator symbols, normal-ordered polynomials with exact matrix
 coefficients, and their product, which implements [x_k, p_l] = i*delta_kl
 and checks the closed forms, are in the tests' dense oracle.
@@ -83,32 +82,21 @@ class DiracModel:
         return pauli.encode(*self.beta_string, self.dim)
 
     @cached_property
-    def generating_set(self) -> list:
-        """P0, the d momenta and the d boosts J0k, as (class, label,
-        {monomial: term}) in that order.  They generate P(1,d): each
-        rotation Jkl is a real multiple of i[J0k, J0l].  Built once per
-        model."""
+    def generators(self) -> list:
+        """Every generator as (class, label, {monomial: term}), grouped
+        by class in a fixed order: P0, the d momenta, the d(d-1)/2
+        rotations Jkl (k < l), the d boosts.  Built once per model."""
         d = self.d
         return [
             ("P0", "P0", generator(self, "P0")),
             *(("Pk", f"P{k}", generator(self, "Pk", k=k)) for k in range(1, d + 1)),
+            *(
+                ("Jkl", f"J{k}{l}", generator(self, "Jkl", k=k, l=l))
+                for k in range(1, d + 1)
+                for l in range(k + 1, d + 1)
+            ),
             *(("J0k", f"J0{k}", generator(self, "J0k", k=k)) for k in range(1, d + 1)),
         ]
-
-    @cached_property
-    def generators(self) -> list:
-        """Every generator as (class, label, {monomial: term}), grouped
-        by class in a fixed order: P0, the d momenta, the d(d-1)/2
-        rotations Jkl (k < l), the d boosts.  Built once per model; all
-        but the rotations are the dicts of ``generating_set``."""
-        d = self.d
-        gens = self.generating_set
-        rotations = [
-            ("Jkl", f"J{k}{l}", generator(self, "Jkl", k=k, l=l))
-            for k in range(1, d + 1)
-            for l in range(k + 1, d + 1)
-        ]
-        return [*gens[: d + 1], *rotations, *gens[d + 1 :]]
 
     @cached_property
     def _coefficient_strings(self) -> tuple:

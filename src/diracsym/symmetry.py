@@ -18,26 +18,27 @@ strings that solve it are the solutions of an affine system over GF(2)
 (``pauli``) with one row per distinct coefficient string.  A row's
 right-hand side is an integer sign: a coefficient q*i^k*P keeps its
 rational size q under T, so the monomial's sign and, for an antilinear
-S, the parity of k decide it (``_string_rows``).  The rotations are
-brackets of boosts, Jkl = i[J0k, J0l], so when eps(Jkl) =
-(-1)^antilinear, as for every built-in candidate, the rows of the
-generating set P0, Pk, J0k decide the cell.
-Each of its terms is one of seven types:
+S, the parity of k decide it.  Each term is one of ten types, with
+bm = branch*mass:
 
     (P0, p_j, alpha_j), (P0, 1, bm*beta), (Pk, p_k, I),
+    (Jkl, x_k*p_l, I), (Jkl, x_l*p_k, -I), (Jkl, 1, (i/2)*alpha_l*alpha_k),
     (J0k, t*p_k, I), (J0k, x_k*p_j, -alpha_j), (J0k, x_k, -bm*beta),
-    (J0k, 1, (i/2)*alpha_k),
+    (J0k, 1, (i/2)*alpha_k).
 
-with bm = branch*mass.  A type fixes the term's sign, and the gamma
-phase exponents fix whether its coefficient is real or imaginary, so the
-rows are read off this table and the masks of the d + 2 strings I, beta
-and alpha_j (``_type_rows``): no generator is built, and no string
-product or scalar arithmetic is done.  ``include_j=False`` reads the P0
-and Pk types only.  A candidate off the rule still reads every
-generator, Jkl included, term by term (``_generator_rows``).  Exact
-scalars enter only the orbital residuals of identity-string terms.  The
-dense outputs are written down from the packed solution strings, with
-entries +-1 and 0 only (``_solve_strings``): within one x mask the z
+A type fixes the term's sign, and the gamma phase exponents fix whether
+its coefficient is real or imaginary, so the rows are read off this
+table and the masks of the strings I, beta and alpha_j
+(``_string_rows``): no generator is built, and no string product or
+scalar arithmetic is done.  The rotations are brackets of boosts,
+Jkl = i[J0k, J0l], so when eps(Jkl) = (-1)^antilinear, as for every
+built-in candidate, the Jkl types are not read; off that rule their
+identity terms fail, and no tau exists.  ``include_j=False`` reads the
+P0 and Pk types only.  Exact scalars enter only the orbital residuals
+of identity-string terms.
+
+The dense outputs are written down from the packed solution strings,
+with entries +-1 and 0 only (``_solve_strings``): within one x mask the z
 masks form z0 + V, rows r and r' fall in one class when (r^r').v = 0 for
 every v in V, and each class is one basis matrix, signed relative to its
 last row.  That is the basis an exact RREF of the dense strings gives,
@@ -57,6 +58,7 @@ its oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import pauli
@@ -70,7 +72,7 @@ from .exact import (
     _Rref,
     nullspace_from_rref,
 )
-from .models import DiracModel, model_for, p_monomial
+from .models import DiracModel, model_for, p_monomial, x_monomial
 
 GENERATOR_CLASSES = ("P0", "Pk", "Jkl", "J0k")
 
@@ -206,13 +208,6 @@ class TauSolution:
         return self.invertible_representative is not None
 
 
-def _reads_generating_set(cand: SymmetryCandidate) -> bool:
-    """True when eps(Jkl) = (-1)^antilinear: the rotation rows then follow
-    from the boost rows (``_type_rows``).  Every candidate in
-    ``CANDIDATES`` obeys it, and a composite of two that do obeys it too."""
-    return cand.eps("Jkl") == (-1 if cand.antilinear else 1)
-
-
 def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     """GF(2) rows of tau*T(G) = eps*G*tau over single strings tau = S.
 
@@ -224,89 +219,97 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     lam_A = -s*lam, so lam_A/lam is an integer sign r and the row is
     <S,P> = [eps != r], whatever the rational size q.
 
-    When S obeys eps(Jkl) = (-1)^antilinear, and whenever
-    ``include_j=False``, the rows are read off the seven term types of
-    the generating set P0, Pk, J0k (``_type_rows``), with no generator
-    built.  Any other S reads every generator, term by term
-    (``_generator_rows``).
-
-    Returns (rows as (mask, rhs) pairs, orbital inconsistencies).
-    """
-    if include_j and not _reads_generating_set(cand):
-        return _generator_rows(model, cand, model.generators)
-    return _type_rows(model, cand, include_j)
-
-
-def _type_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
-    """The rows of ``_string_rows`` from the term types of P0, Pk, J0k.
-
-    With bm = branch*mass, every term of the generating set is one of
+    With bm = branch*mass, every term of every generator is one of
 
         (P0, p_j, alpha_j), (P0, 1, bm*beta), (Pk, p_k, I),
+        (Jkl, x_k*p_l, I), (Jkl, x_l*p_k, -I), (Jkl, 1, (i/2)*alpha_l*alpha_k),
         (J0k, t*p_k, I), (J0k, x_k*p_j, -alpha_j), (J0k, x_k, -bm*beta),
         (J0k, 1, (i/2)*alpha_k),
 
     the beta terms dropped when the mass is 0.  A term's sign is
     t_sign^#t * x_sign^#x * p_sign^#p, fixed by its type, and the row
     needs only whether its coefficient is real or imaginary, so the rows
-    are one per (type, string) over the d + 2 strings I, beta, alpha_j.
-    The masks and that bit come from the gamma strings
-    (``_type_strings``); (i/2)*alpha_k flips alpha_k's bit and bm*beta
-    has beta's.  So a cell makes no string product and no scalar
-    arithmetic, and builds no generator.
+    are one per (type, string).  The masks and that bit come from the
+    gamma strings (``_type_strings``); (i/2)*alpha_k flips alpha_k's bit,
+    bm*beta has beta's, and alpha_l*alpha_k has mask alpha_l's ^ alpha_k's
+    and bit alpha_l's ^ alpha_k's, flipped by the i/2.  So a cell makes
+    no string product and no scalar arithmetic, and builds no generator.
 
     The rotations are brackets of boosts, Jkl = i[J0k, J0l], and T is an
     automorphism of the normal-ordered algebra, conjugate-linear when S
     is antilinear: T(AB) = T(A)T(B) and T(i*A) = (-1)^antilinear*i*T(A).
     So a tau with tau*T(J0k) = eps*J0k*tau for every k has
-    tau*T(Jkl) = (-1)^antilinear*eps^2*Jkl*tau, and under the rule the
-    Jkl rows hold on every solution of the others: they remove no
-    solution string.  Their identity-string terms +-x_k p_l carry the
-    real coefficient +-1 and the sign x_sign*p_sign = (-1)^antilinear,
-    so r = eps and their right-hand side is 0: they add no orbital
-    inconsistency either.  ``include_j=False`` reads the P0 and Pk types
-    only.
+    tau*T(Jkl) = (-1)^antilinear*eps^2*Jkl*tau.  The identity-string
+    terms +-x_k p_l carry the real coefficient +-1 and the sign
+    x_sign*p_sign = (-1)^antilinear.  So when eps(Jkl) = (-1)^antilinear,
+    as for every built-in candidate, the Jkl rows hold on every solution
+    of the others and add no orbital inconsistency, and they are not
+    read; off that rule their identity rows fail, and no tau exists.
+    ``include_j=False`` reads the P0 and Pk types only.
 
-    The identity-string types (Pk, p_k, I) and (J0k, t*p_k, I) are the
-    orbital ones.  When one fails, each of its d terms is an
-    inconsistency, in generator order, with the exact residual
-    sign - eps; only then are its monomials built.
+    The identity-string types are the orbital ones.  When one fails, each
+    of its terms is an inconsistency, in generator order, with the exact
+    residual (sign - eps) times its coefficient; only then are its
+    monomials built.
+
+    Returns (rows as (mask, rhs) pairs, orbital inconsistencies).
     """
     antilinear = cand.antilinear
     t_sign, x_sign = cand.t_sign, cand.x_sign
     p_sign = -x_sign if antilinear else x_sign
     alphas, beta = _type_strings(model)
+    d = model.d
 
     def rhs(eps, sign, imaginary):
         # eps != r with r = -sign for an imaginary coefficient under an
         # antilinear S, and r = sign otherwise
         return int((eps != sign) != (antilinear and imaginary))
 
+    def momenta(prefix, t):
+        # (label, monomial, coefficient) of the identity terms t^t*p_k
+        for k in range(1, d + 1):
+            yield f"{prefix}{k}", (t, *p_monomial(d, k)[1:]), 1
+
+    def rotations():
+        # x_l*p_k sorts before x_k*p_l, as the generator dicts do
+        xs = [x_monomial(d, k)[1] for k in range(1, d + 1)]
+        ps = [p_monomial(d, k)[2] for k in range(1, d + 1)]
+        for k, l in itertools.combinations(range(d), 2):
+            label = f"J{k + 1}{l + 1}"
+            yield label, (0, xs[l], ps[k]), -1
+            yield label, (0, xs[k], ps[l]), 1
+
     eps = cand.eps("P0")
     rows = [(mask, rhs(eps, p_sign, im)) for mask, im in alphas]
     if beta:
         rows.append((beta[0], rhs(eps, 1, beta[1])))
-    # (class, label prefix, sign, t exponent) of each identity-string type
-    classes = [("Pk", "P", p_sign, 0)]
+    # (class, sign, terms) of each identity-string type
+    classes = [("Pk", p_sign, momenta("P", 0))]
     if include_j:
+        eps = cand.eps("Jkl")
+        sign = -1 if antilinear else 1
+        if eps != sign:
+            rows += [
+                (mask_k ^ mask_l, rhs(eps, 1, im_k == im_l))
+                for (mask_k, im_k), (mask_l, im_l) in itertools.combinations(alphas, 2)
+            ]
+            classes.append(("Jkl", sign, rotations()))
         eps = cand.eps("J0k")
         rows += [(mask, rhs(eps, x_sign * p_sign, im)) for mask, im in alphas]
         if beta:
             rows.append((beta[0], rhs(eps, x_sign, beta[1])))
         rows += [(mask, rhs(eps, 1, not im)) for mask, im in alphas]
-        classes.append(("J0k", "J0", t_sign * p_sign, 1))
+        classes.append(("J0k", t_sign * p_sign, momenta("J0", 1)))
     inconsistencies = []
-    d = model.d
-    for cls, prefix, sign, t in classes:
+    for cls, sign, terms in classes:
         eps = cand.eps(cls)
         rows.append((0, int(eps != sign)))
         if eps != sign:
-            resid = ExactScalar(sign - eps)
-            for k in range(1, d + 1):
-                mono = (t, *p_monomial(d, k)[1:])
-                inconsistencies.append(
-                    {"generator": f"{prefix}{k}", "monomial": mono, "scale": resid}
-                )
+            resid = {1: ExactScalar(sign - eps), -1: ExactScalar(eps - sign)}
+            inconsistencies += (
+                {"generator": label, "monomial": mono, "scale": resid[c]}
+                for label, mono, c in terms
+            )
     return list(dict.fromkeys(rows)), inconsistencies
 
 
@@ -326,33 +329,6 @@ def _type_strings(model: DiracModel):
         return alphas, None
     _, k, x, z = model.beta_string
     return alphas, (pauli.symplectic_mask(x, z, nq), bool(k & 1))
-
-
-def _generator_rows(model: DiracModel, cand: SymmetryCandidate, gens):
-    """The rows of ``_string_rows`` term by term over the generators
-    ``gens``, each monomial's sign from ``_term_sign``.  Each distinct
-    (mask, rhs) is emitted once, in first-seen order.  An inconsistency
-    is an identity-string term whose row fails; only there is the exact
-    residual lam_A - eps*lam computed."""
-    nq = pauli.qubits(model.dim)
-    antilinear = cand.antilinear
-    rows = {}
-    inconsistencies = []
-    for cls, label, g in gens:
-        eps = cand.eps(cls)
-        for mono in sorted(g):
-            q, k, x, z = g[mono]
-            sign = _term_sign(mono, cand)
-            r = -sign if antilinear and k & 1 else sign
-            row = (pauli.symplectic_mask(x, z, nq), int(eps != r))
-            rows[row] = None
-            if row[1] and not (x or z):
-                # lam_A - eps*lam = (r - eps)*lam
-                resid = pauli.scalar(q, k) * ExactScalar(r - eps)
-                inconsistencies.append(
-                    {"generator": label, "monomial": mono, "scale": resid}
-                )
-    return list(rows), inconsistencies
 
 
 def _signed_string(n: int, x: int, signs) -> ExactMatrix:
@@ -519,9 +495,9 @@ def verify_tau(
     strings (``pauli.expand``: n^2 coefficients, each read from n
     entries), and both sides of each monomial's equation are products of
     string sums (``pauli.mul_sums``), which are equal matrices exactly
-    when they are equal dicts.  The check shares only the closed-form
-    generators, the monomial signs and the string product with the
-    solver.  It builds no GF(2) row (``_string_rows``) and solves no
+    when they are equal dicts.  The solver builds no generator and
+    multiplies no string, so the check shares only the candidate's
+    signs with it.  It builds no GF(2) row (``_string_rows``) and solves no
     affine system, so a fault in the solver's sign rule or elimination
     cannot hide in its own re-check.  It reads every generator
     (``DiracModel.generators``), the rotations Jkl included, which the
@@ -548,19 +524,6 @@ def verify_tau(
             if lhs != rhs:
                 return False
     return True
-
-
-def compose(
-    c1: SymmetryCandidate,
-    tau1: ExactMatrix,
-    c2: SymmetryCandidate,
-    tau2: ExactMatrix,
-    name: str | None = None,
-):
-    """Operator product of two solved symmetries: candidate plus tau."""
-    cand = composite_candidate(c1, c2, name)
-    t2 = tau2.conj() if c1.antilinear else tau2
-    return cand, tau1 @ t2
 
 
 @dataclass

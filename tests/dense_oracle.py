@@ -53,11 +53,15 @@ monomials of degree <= d+1 span every matrix.
 
 ``reference_string_rows`` is the engine's row builder as it stood
 before rows were decided by integer signs: one row per (generator,
-monomial) with duplicates kept, each sign decided by exact scalar
-comparisons.  It reads every generator, Jkl included, where the engine
-reads only the generating set P0, Pk, J0k for a candidate with
-eps(Jkl) = (-1)^antilinear.  The fast builder's rows must lie among its
-rows and give the same solutions and orbital inconsistencies.
+monomial) of the generator dicts, with duplicates kept, each sign
+decided by exact scalar comparisons.  It reads every generator, Jkl
+included, where the engine's type table skips the Jkl types for a
+candidate with eps(Jkl) = (-1)^antilinear.  The type table's rows must
+lie among its rows and give the same solutions and orbital
+inconsistencies.
+
+``compose`` multiplies two solved symmetries as dense matrices,
+tau1 * conj(tau2) when the first is antilinear.
 """
 
 import itertools
@@ -78,6 +82,7 @@ from diracsym.symmetry import (
     _normalize,
     _term_sign,
     clifford2_span,
+    composite_candidate,
 )
 
 
@@ -693,3 +698,16 @@ def reference_string_rows(
             else:
                 rows.append((0, 1))
     return rows, inconsistencies
+
+
+def compose(
+    c1: SymmetryCandidate,
+    tau1: ExactMatrix,
+    c2: SymmetryCandidate,
+    tau2: ExactMatrix,
+    name: str | None = None,
+):
+    """Operator product of two solved symmetries: candidate plus tau."""
+    cand = composite_candidate(c1, c2, name)
+    t2 = tau2.conj() if c1.antilinear else tau2
+    return cand, tau1 @ t2

@@ -20,7 +20,6 @@ from diracsym import (
     FiberState,
     MassProfile,
     classify,
-    compose,
     density_evolve,
     dispersion_check,
     little_group_labels,
@@ -35,6 +34,7 @@ from diracsym.certificate import FLAGS, flags_for
 from diracsym.symmetry import C, PARITY, PTC, TP, TW
 
 from conftest import block_antidiag, block_diag, dense_alphas, proj_equal
+from dense_oracle import compose
 from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
 BUILTIN_NAMES = ("P", "Tp", "Tw", "C")

@@ -77,18 +77,16 @@ def test_all_stored_cells_match():
             assert got == want, (ansatz, key)
 
 
-def _tilted(real, cls, factor):
-    """``generator`` with every coefficient of one class scaled by
-    factor = (q, j), the scalar q * i^j."""
+def _tilted(gens, cls, factor):
+    """The generators ``gens`` with every coefficient of one class scaled
+    by factor = (q, j), the scalar q * i^j."""
     q, j = factor
-
-    def gen(model, which, k=0, l=0):
-        g = real(model, which, k=k, l=l)
-        if which == cls:
-            g = {mono: (r * q, (k + j) & 3, x, z) for mono, (r, k, x, z) in g.items()}
-        return g
-
-    return gen
+    return [
+        (c, label, {m: (r * q, (k + j) & 3, x, z) for m, (r, k, x, z) in g.items()})
+        if c == cls
+        else (c, label, g)
+        for c, label, g in gens
+    ]
 
 
 _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -305,12 +303,18 @@ def test_solve_affine_lists_every_solution():
 def test_solve_tau_reaches_the_first_string_branch(monkeypatch):
     # with the momenta alone every string commutes with every constraint:
     # all 16 strings at d=4 solve, and no basis element is invertible
-    real = DiracModel.generating_set.func
+    real = DiracModel.generators.func
     momenta = property(lambda model: [g for g in real(model) if g[0] == "Pk"])
-    # the per-term path and verify_tau read every generator; the type
-    # table reads none, so the cell is sent down the per-term path
+    # verify_tau reads every generator, and the row builder is given the
+    # reference rows of the same momenta
     monkeypatch.setattr(DiracModel, "generators", momenta)
-    monkeypatch.setattr(symmetry, "_reads_generating_set", lambda cand: False)
+    monkeypatch.setattr(
+        symmetry,
+        "_string_rows",
+        lambda model, cand, include_j: reference_string_rows(
+            model, cand, include_j, model.generators
+        ),
+    )
     model = model_for(4)
     sol = solve_tau(model, PARITY)
     assert sol.dim == 16
@@ -321,6 +325,11 @@ def test_solve_tau_reaches_the_first_string_branch(monkeypatch):
 
 def _inconsistency_json(found):
     return [(i["generator"], i["monomial"], i["scale"].to_json()) for i in found]
+
+
+def _generating_set(model):
+    """P0, Pk and J0k: every generator but the rotations."""
+    return [g for g in model.generators if g[0] != "Jkl"]
 
 
 def _assert_rows_match_reference(model, cand, include_j, generators=None, got=None):
@@ -344,13 +353,13 @@ def _assert_rows_match_reference(model, cand, include_j, generators=None, got=No
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 14, 16])
 def test_rows_match_scalar_reference(d):
     # the type-table rows against the reference over every generator, and
-    # row for row over the generating set, whose dicts it reads term by term
+    # row for row over the generating set, whose term types it reads
     for variant in VARIANTS:
         model = model_for_variant(d, variant)
         for cand in CANDIDATES.values():
             for include_j in (True, False):
                 _assert_rows_match_reference(model, cand, include_j)
-                _assert_rows_match_reference(model, cand, include_j, model.generating_set)
+                _assert_rows_match_reference(model, cand, include_j, _generating_set(model))
 
 
 _positive = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
@@ -365,37 +374,44 @@ _positive = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=
     name=st.sampled_from(sorted(CANDIDATES)),
     include_j=st.booleans(),
     tilt=st.none()
-    | st.tuples(st.sampled_from(GENERATOR_CLASSES), _positive, _phases),
+    | st.tuples(st.sampled_from(GENERATOR_CLASSES), _positive, st.sampled_from([0, 2])),
 )
 @example(
     d=4, mass=Fraction(2, 3), branch=-1, doubled=False, name="C", include_j=True,
-    tilt=("P0", Fraction(3), 3),
+    tilt=("P0", Fraction(3), 2),
 )
 @example(
     d=4, mass=Fraction(5, 2), branch=1, doubled=True, name="Tw", include_j=True,
-    tilt=("Pk", Fraction(1, 2), 1),
+    tilt=("Jkl", Fraction(1, 2), 0),
 )
 def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, include_j, tilt):
     # bm*beta carries q = branch*mass; a tilt scales one generator class
-    # by q*i^k
+    # by the real factor +-q
     model = model_for(d, mass=mass, branch=branch, doubled=doubled)
     cand = CANDIDATES[name]
     if tilt is None:
         # the type table, which reads the mass through bm*beta alone
-        _assert_rows_match_reference(model, cand, include_j, model.generating_set)
+        _assert_rows_match_reference(model, cand, include_j, _generating_set(model))
         _assert_rows_match_reference(model, cand, include_j)
-    with pytest.MonkeyPatch.context() as mp:
-        if tilt is not None:
-            cls, q, phase = tilt
-            mp.setattr(models, "generator", _tilted(models.generator, cls, (q, phase)))
-        # the per-term path, which reads the generator dicts, over the
-        # generating set; a tilted Jkl class is no longer a bracket of
-        # boosts, so only the rest must match all rows
-        gens = [g for g in model.generating_set if include_j or g[0] != "J0k"]
-        got = symmetry._generator_rows(model, cand, gens)
-        _assert_rows_match_reference(model, cand, include_j, gens, got)
-        if tilt is None or tilt[0] != "Jkl":
-            _assert_rows_match_reference(model, cand, include_j, got=got)
+        return
+    # the reference over the tilted dicts decides as the type table does:
+    # the same rows over the generating set, among its rows over every
+    # generator, the same solutions and the same inconsistency positions
+    cls, q, phase = tilt
+    rows, found = symmetry._string_rows(model, cand, include_j)
+    nbits = 2 * pauli.qubits(model.dim)
+    for gens, every in ((_generating_set(model), False), (model.generators, True)):
+        want_rows, want_found = reference_string_rows(
+            model, cand, include_j, _tilted(gens, cls, (q, phase))
+        )
+        if every:
+            assert set(rows) <= set(want_rows)
+        else:
+            assert set(rows) == set(want_rows)
+        assert pauli.solve_affine(rows, nbits) == pauli.solve_affine(want_rows, nbits)
+        assert [(i["generator"], i["monomial"]) for i in found] == [
+            (i["generator"], i["monomial"]) for i in want_found
+        ]
 
 
 def test_cell_costs_quadratically_many_string_products(monkeypatch):
@@ -434,9 +450,20 @@ def test_cell_makes_no_string_product(monkeypatch):
     assert calls == []
 
 
-def test_every_candidate_reads_the_generating_set():
-    for cand in CANDIDATES.values():
-        assert symmetry._reads_generating_set(cand), cand.name
+def test_every_candidate_reads_at_most_d_plus_3_rows():
+    # the d alphas, beta and the identity, with one right-hand side each,
+    # plus a contradictory identity row for Tp-literal: no Jkl row, which
+    # would add d(d-1)/2 more
+    d = 64
+    counts = []
+    for variant in VARIANTS:
+        model = model_for_variant(d, variant)
+        for name, cand in CANDIDATES.items():
+            for include_j in (True, False):
+                rows, _ = symmetry._string_rows(model, cand, include_j)
+                counts.append(len(rows))
+                assert len(rows) <= d + 3, (variant, name, include_j)
+    assert max(counts) == d + 3
 
 
 @pytest.mark.parametrize("d", range(18, 34, 2))
@@ -449,7 +476,7 @@ def test_generating_set_rows_solve_as_every_generator(d):
         for cand in CANDIDATES.values():
             for include_j in (True, False):
                 _assert_rows_match_reference(model, cand, include_j)
-                _assert_rows_match_reference(model, cand, include_j, model.generating_set)
+                _assert_rows_match_reference(model, cand, include_j, _generating_set(model))
 
 
 # Tw with commuting rotations: eps(Jkl) = +1 against (-1)^antilinear = -1
@@ -466,7 +493,7 @@ TW_COMMUTING_J = SymmetryCandidate(
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_candidate_off_the_rule_reads_every_generator(d, variant):
     model = model_for_variant(d, variant)
-    assert not symmetry._reads_generating_set(TW_COMMUTING_J)
+    assert TW_COMMUTING_J.eps("Jkl") != -1
     _assert_rows_match_reference(model, TW_COMMUTING_J, True, model.generators)
     if d == 4:
         got = solve_tau(model, TW_COMMUTING_J, variant=variant)
@@ -492,6 +519,28 @@ def test_a_d256_cell_builds_no_generator(monkeypatch):
     assert len(rows) == d + 2  # the d alphas, beta and the identity
 
 
+def test_a_d64_cell_off_the_rule_builds_no_generator(monkeypatch):
+    # the Jkl types come from the alpha masks too: an off-rule cell
+    # builds no generator and multiplies no string, though it lists
+    # d(d-1) orbital inconsistencies
+    d = 64
+    built = Counter()
+    real = models.generator
+
+    def counting(model, which, k=0, l=0):
+        built[which] += 1
+        return real(model, which, k=k, l=l)
+
+    monkeypatch.setattr(models, "generator", counting)
+    monkeypatch.setattr(pauli, "mul", _refuse)
+    model = model_for(d)
+    sol = solve_tau(model, TW_COMMUTING_J)
+    assert not sol.exists
+    assert built == {}
+    # two identity terms of each rotation fail; the Pk and J0k ones hold
+    assert len(sol.orbital_inconsistencies) == d * (d - 1)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a type-table cell multiplied strings or scalars")
 
@@ -515,28 +564,33 @@ def test_a_rule_cell_makes_no_product_or_scalar_arithmetic(monkeypatch, d):
                 solve_tau(model, cand, include_j=include_j)
 
 
-def _rule_candidates():
-    """Every candidate with eps(Jkl) = (-1)^antilinear: 64 of them."""
-    for antilinear, t_sign, x_sign, p0, pk, j0k in itertools.product(
-        (False, True), *[(1, -1)] * 5
+def _sign_data():
+    """Every candidate, one per sign datum: 128 of them, 64 with
+    eps(Jkl) = (-1)^antilinear and 64 off that rule."""
+    for antilinear, t_sign, x_sign, p0, pk, jkl, j0k in itertools.product(
+        (False, True), *[(1, -1)] * 6
     ):
-        jkl = -1 if antilinear else 1
         sig = (("P0", p0), ("Pk", pk), ("Jkl", jkl), ("J0k", j0k))
-        yield SymmetryCandidate("rule", antilinear, t_sign, x_sign, sig)
+        yield SymmetryCandidate("datum", antilinear, t_sign, x_sign, sig)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8])
 def test_type_rows_hold_for_every_rule_candidate(d):
     # the built-in candidates share some rows between types (bm*beta of
-    # P0 and of J0k, for one); a signature off them tells every type apart
+    # P0 and of J0k, for one); a signature off them tells every type apart.
+    # A candidate on the rule is read row for row over the generating set;
+    # one off it over every generator, and its failing Jkl identity terms
+    # leave no solution string
     for variant in VARIANTS:
         model = model_for_variant(d, variant)
-        for cand in _rule_candidates():
+        for cand in _sign_data():
+            off_rule = cand.eps("Jkl") != (-1 if cand.antilinear else 1)
+            gens = model.generators if off_rule else _generating_set(model)
             for include_j in (True, False):
-                got = symmetry._type_rows(model, cand, include_j)
-                _assert_rows_match_reference(
-                    model, cand, include_j, model.generating_set, got
-                )
+                got = symmetry._string_rows(model, cand, include_j)
+                _assert_rows_match_reference(model, cand, include_j, gens, got)
+                if off_rule and include_j:
+                    assert not pauli.solve_affine(got[0], 2 * pauli.qubits(model.dim))
 
 
 @pytest.mark.parametrize("doubled", [False, True])

@@ -13,7 +13,6 @@ from diracsym import (
     ExactMatrix,
     ExactScalar,
     classify,
-    compose,
     composite_candidate,
     model_for,
     model_for_variant,
@@ -37,7 +36,7 @@ from diracsym.symmetry import (
 )
 
 from conftest import block_antidiag, block_diag, dense_alphas, proj_equal
-from dense_oracle import _constraint_pairs, _last_pivot_basis, invertible_element
+from dense_oracle import _constraint_pairs, _last_pivot_basis, compose, invertible_element
 from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
 
