@@ -42,6 +42,11 @@ def p_monomial(d: int, k: int) -> Monomial:
     return (0, (0,) * d, tuple(e))
 
 
+def rotation_label(k: int, l: int) -> str:
+    """Jkl for k < l, or Jk,l when l >= 10: J1,112 and J11,12 stay apart."""
+    return f"J{k}{l}" if l < 10 else f"J{k},{l}"
+
+
 @dataclass(frozen=True)
 class DiracModel:
     """A Dirac-type model for P(1,d): alphas, beta, mass and branch sign."""
@@ -91,7 +96,7 @@ class DiracModel:
             ("P0", "P0", generator(self, "P0")),
             *(("Pk", f"P{k}", generator(self, "Pk", k=k)) for k in range(1, d + 1)),
             *(
-                ("Jkl", f"J{k}{l}", generator(self, "Jkl", k=k, l=l))
+                ("Jkl", rotation_label(k, l), generator(self, "Jkl", k=k, l=l))
                 for k in range(1, d + 1)
                 for l in range(k + 1, d + 1)
             ),

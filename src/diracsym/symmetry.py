@@ -27,15 +27,15 @@ bm = branch*mass:
     (J0k, 1, (i/2)*alpha_k).
 
 A type fixes the term's sign, and the gamma phase exponents fix whether
-its coefficient is real or imaginary, so the rows are read off this
-table and the masks of the strings I, beta and alpha_j
-(``_string_rows``): no generator is built, and no string product or
-scalar arithmetic is done.  The rotations are brackets of boosts,
-Jkl = i[J0k, J0l], so when eps(Jkl) = (-1)^antilinear, as for every
-built-in candidate, the Jkl types are not read; off that rule their
-identity terms fail, and no tau exists.  ``include_j=False`` reads the
-P0 and Pk types only.  Exact scalars enter only the orbital residuals
-of identity-string terms.
+its coefficient is real or imaginary.  The identity-string terms p_k,
++-x_k*p_l and t*p_k are a real +-1 on I, so a candidate whose eps differs
+from one of their signs holds 0 = 1 and is absent, whatever its other
+rows say (``_string_rows``).  Otherwise the rows are read off the P0 and
+J0k types and the masks of beta and alpha_j: no generator is built, and
+no string product or scalar arithmetic is done.  The rotations are
+brackets of boosts, Jkl = i[J0k, J0l], so their other rows are not read.
+``include_j=False`` reads the P0 and Pk types only.  Exact scalars enter
+only the orbital residuals of identity-string terms.
 
 The dense outputs are written down from the packed solution strings,
 with entries +-1 and 0 only (``_solve_strings``): within one x mask the z
@@ -72,7 +72,7 @@ from .exact import (
     _Rref,
     nullspace_from_rref,
 )
-from .models import DiracModel, model_for, p_monomial, x_monomial
+from .models import DiracModel, model_for, p_monomial, rotation_label, x_monomial
 
 GENERATOR_CLASSES = ("P0", "Pk", "Jkl", "J0k")
 
@@ -217,47 +217,37 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
     (-1)^<S,P>*lam_A = eps*lam.  A real lam (k even) has lam_A = s*lam,
     and an imaginary one (k odd) under an antilinear S has
     lam_A = -s*lam, so lam_A/lam is an integer sign r and the row is
-    <S,P> = [eps != r], whatever the rational size q.
+    <S,P> = [eps != r], whatever the rational size q.  The sign s is
+    t_sign^#t * x_sign^#x * p_sign^#p, fixed by the term's type (the ten
+    types are listed in the module docstring).
 
-    With bm = branch*mass, every term of every generator is one of
+    The identity-string types are the orbital ones: p_k in Pk, +-x_k*p_l
+    in Jkl and t*p_k in J0k, with the signs p_sign, x_sign*p_sign =
+    (-1)^antilinear and t_sign*p_sign.  Each is a real +-1 on I, so its
+    row is 0 = [eps != sign].  When one fails, no tau exists whatever the
+    other rows say: its terms are inconsistencies, in generator order,
+    with the exact residual (sign - eps) times the coefficient, and the
+    rows are the one row 0 = 1.  Only then are monomials built, and no
+    other type is read.
 
-        (P0, p_j, alpha_j), (P0, 1, bm*beta), (Pk, p_k, I),
-        (Jkl, x_k*p_l, I), (Jkl, x_l*p_k, -I), (Jkl, 1, (i/2)*alpha_l*alpha_k),
-        (J0k, t*p_k, I), (J0k, x_k*p_j, -alpha_j), (J0k, x_k, -bm*beta),
-        (J0k, 1, (i/2)*alpha_k),
-
-    the beta terms dropped when the mass is 0.  A term's sign is
-    t_sign^#t * x_sign^#x * p_sign^#p, fixed by its type, and the row
-    needs only whether its coefficient is real or imaginary, so the rows
-    are one per (type, string).  The masks and that bit come from the
-    gamma strings (``_type_strings``); (i/2)*alpha_k flips alpha_k's bit,
-    bm*beta has beta's, and alpha_l*alpha_k has mask alpha_l's ^ alpha_k's
-    and bit alpha_l's ^ alpha_k's, flipped by the i/2.  So a cell makes
-    no string product and no scalar arithmetic, and builds no generator.
-
-    The rotations are brackets of boosts, Jkl = i[J0k, J0l], and T is an
-    automorphism of the normal-ordered algebra, conjugate-linear when S
-    is antilinear: T(AB) = T(A)T(B) and T(i*A) = (-1)^antilinear*i*T(A).
-    So a tau with tau*T(J0k) = eps*J0k*tau for every k has
-    tau*T(Jkl) = (-1)^antilinear*eps^2*Jkl*tau.  The identity-string
-    terms +-x_k p_l carry the real coefficient +-1 and the sign
-    x_sign*p_sign = (-1)^antilinear.  So when eps(Jkl) = (-1)^antilinear,
-    as for every built-in candidate, the Jkl rows hold on every solution
-    of the others and add no orbital inconsistency, and they are not
-    read; off that rule their identity rows fail, and no tau exists.
+    Otherwise the rows are one per (type, string) of the P0 and J0k
+    types.  The masks and the imaginary bit come from the gamma strings
+    (``_type_strings``); (i/2)*alpha_k flips alpha_k's bit, and bm*beta
+    has beta's.  So a cell makes no string product and no scalar
+    arithmetic, and builds no generator.  The rotations are brackets of
+    boosts, Jkl = i[J0k, J0l], and T is an automorphism of the
+    normal-ordered algebra, conjugate-linear when S is antilinear:
+    T(AB) = T(A)T(B) and T(i*A) = (-1)^antilinear*i*T(A).  So a tau with
+    tau*T(J0k) = eps*J0k*tau for every k has
+    tau*T(Jkl) = (-1)^antilinear*Jkl*tau: once the Jkl identity terms
+    hold, every Jkl row holds on the solutions of the others.
     ``include_j=False`` reads the P0 and Pk types only.
-
-    The identity-string types are the orbital ones.  When one fails, each
-    of its terms is an inconsistency, in generator order, with the exact
-    residual (sign - eps) times its coefficient; only then are its
-    monomials built.
 
     Returns (rows as (mask, rhs) pairs, orbital inconsistencies).
     """
     antilinear = cand.antilinear
     t_sign, x_sign = cand.t_sign, cand.x_sign
     p_sign = -x_sign if antilinear else x_sign
-    alphas, beta = _type_strings(model)
     d = model.d
 
     def rhs(eps, sign, imaginary):
@@ -275,41 +265,37 @@ def _string_rows(model: DiracModel, cand: SymmetryCandidate, include_j: bool):
         xs = [x_monomial(d, k)[1] for k in range(1, d + 1)]
         ps = [p_monomial(d, k)[2] for k in range(1, d + 1)]
         for k, l in itertools.combinations(range(d), 2):
-            label = f"J{k + 1}{l + 1}"
+            label = rotation_label(k + 1, l + 1)
             yield label, (0, xs[l], ps[k]), -1
             yield label, (0, xs[k], ps[l]), 1
 
-    eps = cand.eps("P0")
-    rows = [(mask, rhs(eps, p_sign, im)) for mask, im in alphas]
-    if beta:
-        rows.append((beta[0], rhs(eps, 1, beta[1])))
     # (class, sign, terms) of each identity-string type
     classes = [("Pk", p_sign, momenta("P", 0))]
     if include_j:
-        eps = cand.eps("Jkl")
-        sign = -1 if antilinear else 1
-        if eps != sign:
-            rows += [
-                (mask_k ^ mask_l, rhs(eps, 1, im_k == im_l))
-                for (mask_k, im_k), (mask_l, im_l) in itertools.combinations(alphas, 2)
-            ]
-            classes.append(("Jkl", sign, rotations()))
-        eps = cand.eps("J0k")
-        rows += [(mask, rhs(eps, x_sign * p_sign, im)) for mask, im in alphas]
-        if beta:
-            rows.append((beta[0], rhs(eps, x_sign, beta[1])))
-        rows += [(mask, rhs(eps, 1, not im)) for mask, im in alphas]
+        classes.append(("Jkl", -1 if antilinear else 1, rotations()))
         classes.append(("J0k", t_sign * p_sign, momenta("J0", 1)))
     inconsistencies = []
     for cls, sign, terms in classes:
         eps = cand.eps(cls)
-        rows.append((0, int(eps != sign)))
         if eps != sign:
             resid = {1: ExactScalar(sign - eps), -1: ExactScalar(eps - sign)}
             inconsistencies += (
                 {"generator": label, "monomial": mono, "scale": resid[c]}
                 for label, mono, c in terms
             )
+    if inconsistencies:
+        return [(0, 1)], inconsistencies
+    alphas, beta = _type_strings(model)
+    eps = cand.eps("P0")
+    rows = [(mask, rhs(eps, p_sign, im)) for mask, im in alphas]
+    if beta:
+        rows.append((beta[0], rhs(eps, 1, beta[1])))
+    if include_j:
+        eps = cand.eps("J0k")
+        rows += [(mask, rhs(eps, x_sign * p_sign, im)) for mask, im in alphas]
+        if beta:
+            rows.append((beta[0], rhs(eps, x_sign, beta[1])))
+        rows += [(mask, rhs(eps, 1, not im)) for mask, im in alphas]
     return list(dict.fromkeys(rows)), inconsistencies
 
 
@@ -500,8 +486,8 @@ def verify_tau(
     signs with it.  It builds no GF(2) row (``_string_rows``) and solves no
     affine system, so a fault in the solver's sign rule or elimination
     cannot hide in its own re-check.  It reads every generator
-    (``DiracModel.generators``), the rotations Jkl included, which the
-    solver skips for a candidate with eps(Jkl) = (-1)^antilinear.
+    (``DiracModel.generators``), the rotations Jkl included, of which
+    the solver reads only the identity terms.
 
     The equation is linear, so a zero or singular tau passes too: True
     says tau intertwines, not that it is a symmetry.  Existence rests on

@@ -55,10 +55,11 @@ monomials of degree <= d+1 span every matrix.
 before rows were decided by integer signs: one row per (generator,
 monomial) of the generator dicts, with duplicates kept, each sign
 decided by exact scalar comparisons.  It reads every generator, Jkl
-included, where the engine's type table skips the Jkl types for a
-candidate with eps(Jkl) = (-1)^antilinear.  The type table's rows must
-lie among its rows and give the same solutions and orbital
-inconsistencies.
+included, and every row of a cell whose identity terms fail, where the
+engine stops at those terms with the one row 0 = 1 and otherwise reads
+only the P0 and J0k types.  The engine's rows must lie among its rows,
+the true identity row 0 = 0 aside, and give the same solutions and
+orbital inconsistencies.
 
 ``compose`` multiplies two solved symmetries as dense matrices,
 tau1 * conj(tau2) when the first is antilinear.

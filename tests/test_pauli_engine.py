@@ -332,19 +332,29 @@ def _generating_set(model):
     return [g for g in model.generators if g[0] != "Jkl"]
 
 
+def _assert_row_set(rows, found, want_rows, every):
+    """A cell with an orbital inconsistency has the one row 0 = 1, which
+    the reference holds too.  One with none has distinct rows, without
+    the true identity row 0 = 0, among the other reference rows, and
+    equal to them unless the reference reads ``every`` generator."""
+    if found:
+        assert rows == [(0, 1)]
+        assert (0, 1) in want_rows
+        return
+    assert len(set(rows)) == len(rows)
+    want = set(want_rows) - {(0, 0)}
+    assert set(rows) <= want if every else set(rows) == want
+
+
 def _assert_rows_match_reference(model, cand, include_j, generators=None, got=None):
     """The solver's rows, or the rows ``got``, against the scalar
-    reference over ``generators``, every generator by default: the same
-    solution strings and orbital inconsistencies, and rows among the
-    reference rows, all of them when the reference reads only what the
-    solver reads."""
+    reference over ``generators``, every generator by default: the row
+    set of ``_assert_row_set``, equal to the reference rows when the
+    reference reads only what the solver reads, and the same solution
+    strings and orbital inconsistencies."""
     rows, found = got if got is not None else symmetry._string_rows(model, cand, include_j)
     want_rows, want_found = reference_string_rows(model, cand, include_j, generators)
-    assert len(set(rows)) == len(rows)
-    if generators is None:
-        assert set(rows) <= set(want_rows)
-    else:
-        assert set(rows) == set(want_rows)
+    _assert_row_set(rows, found, want_rows, generators is None)
     nbits = 2 * pauli.qubits(model.dim)
     assert pauli.solve_affine(rows, nbits) == pauli.solve_affine(want_rows, nbits)
     assert _inconsistency_json(found) == _inconsistency_json(want_found)
@@ -395,8 +405,9 @@ def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, inc
         _assert_rows_match_reference(model, cand, include_j)
         return
     # the reference over the tilted dicts decides as the type table does:
-    # the same rows over the generating set, among its rows over every
-    # generator, the same solutions and the same inconsistency positions
+    # 0 = 1 alone for a cell with an inconsistency, else the same rows over
+    # the generating set, among its rows over every generator, and the
+    # same solutions and the same inconsistency positions
     cls, q, phase = tilt
     rows, found = symmetry._string_rows(model, cand, include_j)
     nbits = 2 * pauli.qubits(model.dim)
@@ -404,10 +415,7 @@ def test_sign_rule_ignores_the_rational_size(d, mass, branch, doubled, name, inc
         want_rows, want_found = reference_string_rows(
             model, cand, include_j, _tilted(gens, cls, (q, phase))
         )
-        if every:
-            assert set(rows) <= set(want_rows)
-        else:
-            assert set(rows) == set(want_rows)
+        _assert_row_set(rows, found, want_rows, every)
         assert pauli.solve_affine(rows, nbits) == pauli.solve_affine(want_rows, nbits)
         assert [(i["generator"], i["monomial"]) for i in found] == [
             (i["generator"], i["monomial"]) for i in want_found
@@ -450,10 +458,10 @@ def test_cell_makes_no_string_product(monkeypatch):
     assert calls == []
 
 
-def test_every_candidate_reads_at_most_d_plus_3_rows():
-    # the d alphas, beta and the identity, with one right-hand side each,
-    # plus a contradictory identity row for Tp-literal: no Jkl row, which
-    # would add d(d-1)/2 more
+def test_every_candidate_reads_at_most_d_plus_1_rows():
+    # the d alphas and beta, with one right-hand side each: no identity
+    # row and no Jkl row, which would add d(d-1)/2 more.  Tp-literal fails
+    # its Pk identity terms and reads the one row 0 = 1
     d = 64
     counts = []
     for variant in VARIANTS:
@@ -462,8 +470,8 @@ def test_every_candidate_reads_at_most_d_plus_3_rows():
             for include_j in (True, False):
                 rows, _ = symmetry._string_rows(model, cand, include_j)
                 counts.append(len(rows))
-                assert len(rows) <= d + 3, (variant, name, include_j)
-    assert max(counts) == d + 3
+                assert len(rows) <= d + 1, (variant, name, include_j)
+    assert max(counts) == d + 1
 
 
 @pytest.mark.parametrize("d", range(18, 34, 2))
@@ -492,6 +500,8 @@ TW_COMMUTING_J = SymmetryCandidate(
 @pytest.mark.parametrize("d", [2, 4, 6])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_candidate_off_the_rule_reads_every_generator(d, variant):
+    # the reference reads every generator, Jkl included; the solver stops
+    # at the failing Jkl identity terms, with the one row 0 = 1
     model = model_for_variant(d, variant)
     assert TW_COMMUTING_J.eps("Jkl") != -1
     _assert_rows_match_reference(model, TW_COMMUTING_J, True, model.generators)
@@ -516,13 +526,13 @@ def test_a_d256_cell_builds_no_generator(monkeypatch):
         rows, found = symmetry._string_rows(model, TW, include_j)
         assert pauli.solve_affine(rows, 2 * pauli.qubits(model.dim)) and not found
     assert built == {}
-    assert len(rows) == d + 2  # the d alphas, beta and the identity
+    assert len(rows) == d + 1  # the d alphas and beta
 
 
 def test_a_d64_cell_off_the_rule_builds_no_generator(monkeypatch):
-    # the Jkl types come from the alpha masks too: an off-rule cell
-    # builds no generator and multiplies no string, though it lists
-    # d(d-1) orbital inconsistencies
+    # an off-rule cell stops at its failing Jkl identity terms: it builds
+    # no generator and multiplies no string, though it lists d(d-1)
+    # orbital inconsistencies
     d = 64
     built = Counter()
     real = models.generator
@@ -578,9 +588,9 @@ def _sign_data():
 def test_type_rows_hold_for_every_rule_candidate(d):
     # the built-in candidates share some rows between types (bm*beta of
     # P0 and of J0k, for one); a signature off them tells every type apart.
-    # A candidate on the rule is read row for row over the generating set;
-    # one off it over every generator, and its failing Jkl identity terms
-    # leave no solution string
+    # A candidate on the rule is compared with the reference over the
+    # generating set, one off it over every generator: its failing Jkl
+    # identity terms leave the one row 0 = 1 and no solution string
     for variant in VARIANTS:
         model = model_for_variant(d, variant)
         for cand in _sign_data():
@@ -591,6 +601,60 @@ def test_type_rows_hold_for_every_rule_candidate(d):
                 _assert_rows_match_reference(model, cand, include_j, gens, got)
                 if off_rule and include_j:
                     assert not pauli.solve_affine(got[0], 2 * pauli.qubits(model.dim))
+
+
+def _classical(cand):
+    """eps(Pk), eps(Jkl) and eps(J0k) equal the signs of their identity
+    terms p_k, x_k*p_l and t*p_k."""
+    p_sign = -cand.x_sign if cand.antilinear else cand.x_sign
+    return (cand.eps("Pk"), cand.eps("Jkl"), cand.eps("J0k")) == (
+        p_sign, cand.x_sign * p_sign, cand.t_sign * p_sign
+    )
+
+
+class _ReadTypes(Exception):
+    pass
+
+
+def _read_types(model):
+    raise _ReadTypes
+
+
+def test_a_non_classical_cell_stops_at_its_identity_terms(monkeypatch):
+    # a failing identity term decides the cell before any other type is
+    # read: the 112 non-classical sign data get the one row 0 = 1, and
+    # only the 16 classical ones reach the gamma strings
+    d = 32
+    monkeypatch.setattr(symmetry, "_type_strings", _read_types)
+    for variant in VARIANTS:
+        model = model_for_variant(d, variant)
+        classical = []
+        for cand in _sign_data():
+            try:
+                rows, found = symmetry._string_rows(model, cand, True)
+            except _ReadTypes:
+                classical.append(cand)
+                continue
+            assert rows == [(0, 1)] and found, (variant, cand)
+            assert not _classical(cand), (variant, cand)
+        assert len(classical) == 16 and all(map(_classical, classical)), variant
+
+
+def _rotation_labels(d):
+    return [models.rotation_label(k, l) for k, l in itertools.combinations(range(1, d + 1), 2)]
+
+
+def test_rotation_labels_are_distinct():
+    # one label per rotation at any d, the d <= 9 ones as they were; an
+    # off-rule cell lists each of its two failing terms under its label
+    labels = _rotation_labels(214)
+    assert len(set(labels)) == len(labels) == 214 * 213 // 2
+    assert _rotation_labels(9) == [f"J{k}{l}" for k, l in itertools.combinations(range(1, 10), 2)]
+    assert models.rotation_label(11, 12) == "J11,12"
+    _, found = symmetry._string_rows(model_for(112), TW_COMMUTING_J, True)
+    assert Counter(i["generator"] for i in found) == dict.fromkeys(_rotation_labels(112), 2)
+    generators = model_for(12).generators
+    assert [label for cls, label, _ in generators if cls == "Jkl"] == _rotation_labels(12)
 
 
 @pytest.mark.parametrize("doubled", [False, True])
