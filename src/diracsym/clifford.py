@@ -90,11 +90,11 @@ class GammaSystem:
 
 @dataclass(frozen=True)
 class CliffordMonomial:
-    """Ordered product of a subset of the gammas: its string and matrix."""
+    """Ordered product of a subset of the gammas, as one term (r, k, x, z);
+    ``pauli.encode(*string, n)`` is its matrix."""
 
     index_subset: tuple
     string: tuple
-    matrix: ExactMatrix
 
 
 def base_system() -> GammaSystem:
@@ -131,11 +131,10 @@ def monomial_basis(gs: GammaSystem, max_degree: int) -> list[CliffordMonomial]:
     if max_degree > gs.d + 1:
         raise ValueError("max_degree exceeds the number of gammas")
     out = []
-    n = gs.rep_dim
     for deg in range(max_degree + 1):
         for subset in itertools.combinations(range(gs.d + 1), deg):
             s = (1, 0, 0, 0)
             for idx in subset:
                 s = pauli.mul(s, gs.strings[idx])
-            out.append(CliffordMonomial(subset, s, pauli.encode(*s, n)))
+            out.append(CliffordMonomial(subset, s))
     return out

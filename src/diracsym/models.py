@@ -103,23 +103,6 @@ class DiracModel:
             *(("J0k", f"J0{k}", generator(self, "J0k", k=k)) for k in range(1, d + 1)),
         ]
 
-    @cached_property
-    def _coefficient_strings(self) -> tuple:
-        """(-alpha_j for j = 1..d, (i/2)*alpha_k for k = 1..d, bm*beta,
-        -bm*beta) with bm = branch*mass, the beta pair None when the mass
-        is 0: every scaled term of P0 and the boosts, each computed once
-        per model.  -alpha_j adds 2 to the phase exponent, (i/2)*alpha_k
-        halves the magnitude and adds 1, and bm*beta scales the magnitude
-        by bm."""
-        alphas = self.gamma.alpha
-        neg_alphas = tuple((r, (k + 2) & 3, x, z) for r, k, x, z in alphas)
-        half_i_alphas = tuple((_HALF * r, (k + 1) & 3, x, z) for r, k, x, z in alphas)
-        if not self.mass:
-            return neg_alphas, half_i_alphas, None, None
-        r, k, x, z = self.beta_string
-        bm = self.branch * self.mass * r
-        return neg_alphas, half_i_alphas, (bm, k, x, z), (bm, (k + 2) & 3, x, z)
-
     def hamiltonian_strings(self, p) -> list:
         """The terms (r, k, x, z) of H(p) for a rational momentum vector p of
         length d: p_k times alpha_k and branch*mass times beta, the zero
@@ -177,17 +160,18 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
 
     J0k is t*p_k - x_k*H + (i/2)*alpha_k, the symmetrized boost
     t*p_k - (x_k*H + H*x_k)/2 reordered with [x_k, p_l] = i*delta_kl.
-    The alpha terms are the ones the gamma system holds, and P0 and
-    J0k take their scaled terms from the model
-    (``DiracModel._coefficient_strings``), so building them does no
-    arithmetic; the only string product is alpha_l*alpha_k in Jkl.
+    The alpha and beta terms are the ones the gamma system holds, and a
+    scaled term changes only the phase exponent and the magnitude:
+    -alpha_j and -bm*beta add 2 to the exponent, (i/2)*alpha_k adds 1 and
+    halves the magnitude, and bm*beta scales the magnitude by bm.  The
+    only string product is alpha_l*alpha_k in Jkl.
     """
     d = model.d
     if which == "P0":
         gen = {p_monomial(d, j): a for j, a in enumerate(model.gamma.alpha, start=1)}
-        bm_beta = model._coefficient_strings[2]
-        if bm_beta is not None:
-            gen[unit_monomial(d)] = bm_beta
+        if model.mass:
+            r, ph, x, z = model.beta_string
+            gen[unit_monomial(d)] = model.branch * model.mass * r, ph, x, z
         return gen
     if which == "Pk":
         _check_index(k, d)
@@ -206,13 +190,15 @@ def generator(model: DiracModel, which: str, k: int = 0, l: int = 0) -> dict:
         }
     if which == "J0k":
         _check_index(k, d)
-        neg_alphas, half_i_alphas, _, neg_bm_beta = model._coefficient_strings
+        alphas = model.gamma.alpha
         gen = {(1, *p_monomial(d, k)[1:]): _IDENTITY}
-        for j, a in enumerate(neg_alphas, start=1):
-            gen[_mono_xp(d, k, j)] = a
-        if neg_bm_beta is not None:
-            gen[x_monomial(d, k)] = neg_bm_beta
-        gen[unit_monomial(d)] = half_i_alphas[k - 1]
+        for j, (r, ph, x, z) in enumerate(alphas, start=1):
+            gen[_mono_xp(d, k, j)] = r, (ph + 2) & 3, x, z
+        if model.mass:
+            r, ph, x, z = model.beta_string
+            gen[x_monomial(d, k)] = model.branch * model.mass * r, (ph + 2) & 3, x, z
+        r, ph, x, z = alphas[k - 1]
+        gen[unit_monomial(d)] = _HALF * r, (ph + 1) & 3, x, z
         return gen
     raise ValueError(f"unknown generator kind: {which}")
 

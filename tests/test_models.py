@@ -163,14 +163,13 @@ class TestHamiltonianAndGenerators:
         assert [g[0] for g in m.generators] == classes
 
     def test_boosts_and_p0_do_no_scalar_arithmetic(self, monkeypatch):
-        # their scaled strings are computed once per model; the values
-        # are checked against the dense oracle above
+        # their scaled terms change only the phase exponent and the
+        # magnitude; the values are checked against the dense oracle above
         def refuse(*args):
             raise AssertionError("scalar arithmetic in a generator")
 
         for mass in (0, Fraction(3, 7)):
             m = model_for(8, mass=mass, branch=-1)
-            m._coefficient_strings
             with monkeypatch.context() as mp:
                 for name in ("__mul__", "__neg__", "__add__", "__sub__"):
                     mp.setattr(ExactScalar, name, refuse)

@@ -52,11 +52,17 @@ def test_full_matches_dense_oracle(d, variant):
 @pytest.mark.parametrize("d", [2, 4, 6])
 @pytest.mark.parametrize("variant", ["single", "single-", "massless"])
 def test_clifford2_matches_dense_oracle(d, variant):
+    # at d = 2, where monomials share strings, every sign datum too, with
+    # and without the boost rows
     model = model_for_variant(d, variant)
-    for name, cand in CANDIDATES.items():
-        got = solve_tau(model, cand, ansatz="clifford2", variant=variant)
-        want = dense_solve_tau(model, cand, ansatz="clifford2", variant=variant)
-        assert _cert_bytes(got) == _cert_bytes(want), name
+    cells = [(name, cand, True) for name, cand in CANDIDATES.items()]
+    if d == 2:
+        cells += [(i, c, j) for i, c in enumerate(_sign_data()) for j in (True, False)]
+    for name, cand, include_j in cells:
+        kwargs = dict(ansatz="clifford2", include_j=include_j, variant=variant)
+        got = solve_tau(model, cand, **kwargs)
+        want = dense_solve_tau(model, cand, **kwargs)
+        assert _cert_bytes(got) == _cert_bytes(want), (name, include_j)
 
 
 def _fingerprint(m: ExactMatrix) -> str:

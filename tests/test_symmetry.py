@@ -16,7 +16,9 @@ from diracsym import (
     composite_candidate,
     model_for,
     model_for_variant,
+    monomial_basis,
     solve_tau,
+    system_for,
     verify_tau,
 )
 from diracsym import certificate, exact, models, pauli, symmetry
@@ -44,8 +46,8 @@ def _dense_span_basis(model, cand):
     """Reference for the clifford2 ansatz: one row per matrix entry of
     span[s]*A - eps*B*span[s], built by dense products."""
     pairs, _ = _constraint_pairs(model, cand, include_j=True)
-    span = [mon.matrix for mon in clifford2_span(model)]
     n = model.dim
+    span = [pauli.encode(*mon.string, n) for mon in clifford2_span(model)]
     rref = _Rref()
     for _, a, b, eps in pairs:
         mats = [(m @ a) - (b @ m).scale(ExactScalar(eps)) for m in span]
@@ -381,11 +383,11 @@ class TestAnsatzModes:
                 2,
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="clifford2 at d = 2 solves in monomial coordinates, and "
-                    "its 7 monomials hold only 4 strings, so the basis holds zero "
-                    "matrices (the FOUND line on clifford2 at d = 2 in CHANGES.md); "
+                    reason="clifford2 at d = 2 keeps a zero matrix for each later "
+                    "monomial on an excluded string: its 7 monomials hold only 4 "
+                    "strings (the FOUND line on clifford2 at d = 2 in CHANGES.md); "
                     "perfbench/expected.json stores these d = 2 dims, so the fix "
-                    "waits for the next benchmark change (ROADMAP item 1)",
+                    "waits for the next benchmark change (ROADMAP item 2)",
                 ),
             ),
             4,
@@ -400,6 +402,21 @@ class TestAnsatzModes:
                 assert not any(b.is_zero() for b in sol.basis), (v, name)
                 flat = [[a for row in b.rows for a in row] for b in sol.basis]
                 assert exact.rank(flat) == sol.dim, (v, name)
+
+    def test_clifford2_needs_no_elimination_or_dense_monomials(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact elimination or dense encoding")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(exact._Rref, "add_row", refuse)
+            mp.setattr(exact, "nullspace_from_rref", refuse)
+            for d in (2, 4, 6, 8):
+                for v in ("single", "single-", "massless"):
+                    model = model_for_variant(d, v)
+                    for name in CLASSIFY_ORDER:
+                        solve_tau(model, CANDIDATES[name], "clifford2", variant=v)
+        monkeypatch.setattr(pauli, "encode_sum", refuse)
+        assert len(monomial_basis(system_for(12), 2)) == 1 + 13 + 78
 
     def test_unknown_ansatz_rejected(self):
         with pytest.raises(ValueError):
