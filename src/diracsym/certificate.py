@@ -58,10 +58,6 @@ def frac_json(x) -> list:
     return [str(f.numerator), str(f.denominator)]
 
 
-def frac_from_json(obj) -> Fraction:
-    return Fraction(int(obj[0]), int(obj[1]))
-
-
 def candidate_json(c: SymmetryCandidate) -> dict:
     return {
         "name": c.name,

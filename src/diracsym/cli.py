@@ -146,7 +146,7 @@ def _cmd_gamma(args) -> int:
         "gamma", {"d": args.dim}, results, {"gamma_recursion_normalization"}
     )
     _emit(args, payload)
-    # the exit code reads the dense relation check the certificate holds
+    # the exit code reads the relation check the certificate holds
     held = all(r["ok"] for r in results["relations_check"])
     return EXIT_OK if held else EXIT_MISMATCH
 

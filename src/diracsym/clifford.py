@@ -22,7 +22,9 @@ index, as in ``kron(gamma, s3)``: the old masks shift up one bit, the
 old gammas gain Z on bit 0 and keep their k, and the two new gammas are
 -XZ (k = 2) and iX (k = 1) on bit 0 alone.  Every magnitude is the int
 1, so the alphas and the gamma monomials are integer products and no
-exact scalar is made until a matrix is encoded.
+exact scalar is made until a matrix is encoded.  The Clifford relations
+are read off the terms too (``GammaSystem.check_relations``), by the
+symplectic form, with no matrix product.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import pauli
-from .exact import ExactMatrix, matmul
 
 
 @dataclass(frozen=True)
@@ -65,27 +66,35 @@ class GammaSystem:
         n = self.rep_dim
         return tuple(pauli.encode(*s, n) for s in self.strings)
 
-    @property
-    def gamma0(self) -> ExactMatrix:
-        return pauli.encode(*self.strings[0], self.rep_dim)
-
     def check_relations(self) -> list[dict]:
-        """Per-pair Clifford relation report, checked on the dense
-        matrices independently of the string recursion (all exact)."""
+        """Per-pair Clifford relation report, {gamma_mu, gamma_nu} ==
+        2 eta_mu_nu I, read off the terms with no matrix product (exact).
+
+        gamma_mu^2 is the identity string with the coefficient
+        r^2 * i^(2k + 2|x&z|) (``pauli.mul``), which must equal eta_mu_mu.
+        For mu != nu, A B + B A = (1 + (-1)^<A,B>) A B vanishes exactly
+        when the symplectic form <A,B> is odd or a magnitude is 0: a
+        nonzero term is not the zero matrix.  The tests keep the dense
+        report, products of the encoded gammas, as an oracle.
+        """
+        n = self.rep_dim
+        for s in self.strings:
+            if (s[2] | s[3]) >= n:
+                raise ValueError(f"gamma string {s} does not act on {n} states")
         report = []
-        gammas = self.gammas
-        ident = ExactMatrix.identity(self.rep_dim)
         for mu in range(self.d + 1):
+            r1, _, x1, z1 = self.strings[mu]
             for nu in range(mu, self.d + 1):
-                lhs = matmul(gammas[mu], gammas[nu]) + matmul(gammas[nu], gammas[mu])
-                want = ident.scale(2 * self.metric(mu, nu))
+                if mu == nu:
+                    r, k, _, _ = pauli.mul(self.strings[mu], self.strings[mu])
+                    ok = pauli.scalar(r, k) == self.metric(mu, mu)
+                else:
+                    r2, _, x2, z2 = self.strings[nu]
+                    ok = pauli.parity((x1 & z2) ^ (z1 & x2)) == 1 or not (r1 and r2)
                 report.append(
-                    {"mu": mu, "nu": nu, "ok": lhs == want}
+                    {"mu": mu, "nu": nu, "ok": ok}
                 )
         return report
-
-    def relations_hold(self) -> bool:
-        return all(r["ok"] for r in self.check_relations())
 
 
 @dataclass(frozen=True)

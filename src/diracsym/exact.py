@@ -2,7 +2,7 @@
 
 Everything in this module is exact: scalars are complex numbers whose real
 and imaginary parts are arbitrary-precision rationals, and all matrix
-operations (product, Kronecker product, conjugation, elimination) stay in
+operations (sum, scaling, product, determinant, elimination) stay in
 that field.  Floating point never enters here.
 """
 
@@ -87,13 +87,6 @@ class ExactScalar:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
 
     def __repr__(self) -> str:
         if not self.im:
@@ -235,46 +228,6 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         return matmul(self, other)
 
-    def conj(self) -> "ExactMatrix":
-        return ExactMatrix._make(
-            [[a.conjugate() for a in r] for r in self.rows]
-        )
-
-    def transpose(self) -> "ExactMatrix":
-        n = self.dim
-        return ExactMatrix._make(
-            [[self.rows[j][i] for j in range(n)] for i in range(n)]
-        )
-
-    def dagger(self) -> "ExactMatrix":
-        return self.conj().transpose()
-
-    def trace(self) -> ExactScalar:
-        t = ZERO
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
-
-    def is_hermitian(self) -> bool:
-        return self == self.dagger()
-
-    def is_anti_hermitian(self) -> bool:
-        return self == -self.dagger()
-
-    def scalar_multiple_of_identity(self) -> ExactScalar | None:
-        """Return c with self == c*I, or None if not a scalar matrix."""
-        n = self.dim
-        c = self.rows[0][0]
-        for i in range(n):
-            for j in range(n):
-                want = c if i == j else ZERO
-                if self.rows[i][j] != want:
-                    return None
-        return c
-
     def determinant(self) -> ExactScalar:
         """Exact determinant via Gaussian elimination."""
         n = self.dim
@@ -303,9 +256,6 @@ class ExactMatrix:
                     a - f * b for a, b in zip(rows[r], rows[col])
                 ]
         return det
-
-    def is_invertible(self) -> bool:
-        return bool(self.determinant())
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -82,10 +82,6 @@ class DiracModel:
             z |= self.gamma.rep_dim
         return r, k, x, z
 
-    @property
-    def beta(self) -> ExactMatrix:
-        return pauli.encode(*self.beta_string, self.dim)
-
     @cached_property
     def generators(self) -> list:
         """Every generator as (class, label, {monomial: term}), grouped

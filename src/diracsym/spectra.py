@@ -2,10 +2,10 @@
 
 Everything about eigenvalues is phrased through exact identities on H^2
 and traces, so irrational square roots never appear in exact mode.
-The dispersion certificate and the d=4 little-group labels are decided
-on sums of Pauli strings (``pauli``), the labels by the sign patterns
-of a GF(2) basis of their commuting strings, and build no dense matrix;
-only the d=4 fiber check squares a dense H.  Floating point is
+The dispersion certificate, the d=4 fiber check and the d=4
+little-group labels are decided on sums of Pauli strings (``pauli``),
+the labels by the sign patterns of a GF(2) basis of their commuting
+strings, and square or multiply no dense matrix.  Floating point is
 quarantined to the density-matrix evolution, and so is numpy:
 ``DensityState`` and ``evolution_operator`` import it on first use, so
 importing this module, and every exact check in it, loads no numerical
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import pauli
-from .exact import ZERO, ExactMatrix, ExactScalar, parse_rational
+from .exact import ZERO, ExactScalar, parse_rational
 from .models import DiracModel, model_for
 
 HERMITICITY_TOL = 1e-12
@@ -149,6 +149,10 @@ def sqrt_dirac_fiber(m, p3) -> dict:
     """Fixed-mass fiber of the indefinite-mass equation: the usual
     3+1 Dirac Hamiltonian alpha.p + beta*m, with its exact square proof.
 
+    The proof is ``dispersion_check`` at (p, 0) on the d=4 model: ``ok``
+    is its H^2 == omega2 * I verdict, decided on the Pauli terms.  The
+    dense H is returned for the caller and is not squared.
+
     Replacing the mass profile by a point mass recovers exactly this
     fiber, one copy per sample.
     """
@@ -160,8 +164,8 @@ def sqrt_dirac_fiber(m, p3) -> dict:
         raise ValueError("fiber momentum must have 3 components")
     model = model_for(4, mass=m)
     h = model.hamiltonian_matrix([*p3, 0])
-    omega2 = sum((x * x for x in p3), Fraction(0)) + m * m
-    ok = (h @ h) == ExactMatrix.identity(model.dim).scale(ExactScalar(omega2))
+    check = dispersion_check(model, [*p3, 0])
+    omega2, ok = check["omega2"], check["square_is_scalar"]
     return {"m": m, "p": p3, "hamiltonian": h, "omega2": omega2, "ok": ok}
 
 

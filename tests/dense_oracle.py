@@ -16,6 +16,14 @@ r * i^k * X^x Z^z entry by entry with exact scalar arithmetic
 (``term_scalar``), apart from ``diracsym.pauli``; every dense form of a
 term below goes through it.
 
+``conj``, ``transpose``, ``dagger``, ``trace``, ``is_zero``,
+``is_hermitian``, ``is_anti_hermitian`` and ``scalar_multiple_of_identity``
+are the dense matrix predicates the tests and this oracle read; the
+package builds no dense matrix that needs them.  ``dense_check_relations``
+is the Clifford relation report on the encoded gammas, two n x n products
+per pair, where ``GammaSystem.check_relations`` reads each pair off the
+terms by the symplectic form.
+
 ``OperatorSymbol`` is a normal-ordered polynomial in t, x_k, p_k with
 exact dense matrix coefficients; ``symbol`` encodes a closed-form
 generator {monomial: term} as one, and ``dense_transform`` applies a
@@ -110,6 +118,63 @@ def dense_terms(terms, n: int) -> ExactMatrix:
     return ExactMatrix._make(rows)
 
 
+def conj(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix._make([[a.conjugate() for a in r] for r in m.rows])
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    n = m.dim
+    return ExactMatrix._make([[m.rows[j][i] for j in range(n)] for i in range(n)])
+
+
+def dagger(m: ExactMatrix) -> ExactMatrix:
+    return conj(transpose(m))
+
+
+def trace(m: ExactMatrix) -> ExactScalar:
+    return sum((m.rows[i][i] for i in range(m.dim)), ZERO)
+
+
+def is_zero(m: ExactMatrix) -> bool:
+    return not any(a for r in m.rows for a in r)
+
+
+def is_hermitian(m: ExactMatrix) -> bool:
+    return m == dagger(m)
+
+
+def is_anti_hermitian(m: ExactMatrix) -> bool:
+    return m == -dagger(m)
+
+
+def scalar_multiple_of_identity(m: ExactMatrix) -> ExactScalar | None:
+    """Return c with m == c*I, or None if m is not a scalar matrix."""
+    n = m.dim
+    c = m.rows[0][0]
+    for i in range(n):
+        for j in range(n):
+            want = c if i == j else ZERO
+            if m.rows[i][j] != want:
+                return None
+    return c
+
+
+def dense_check_relations(gs: GammaSystem) -> list[dict]:
+    """Per-pair Clifford relation report, checked on the dense
+    matrices independently of the string recursion (all exact)."""
+    report = []
+    gammas = gs.gammas
+    ident = ExactMatrix.identity(gs.rep_dim)
+    for mu in range(gs.d + 1):
+        for nu in range(mu, gs.d + 1):
+            lhs = matmul(gammas[mu], gammas[nu]) + matmul(gammas[nu], gammas[mu])
+            want = ident.scale(2 * gs.metric(mu, nu))
+            report.append(
+                {"mu": mu, "nu": nu, "ok": lhs == want}
+            )
+    return report
+
+
 class OperatorSymbol:
     """Normal-ordered polynomial in {t, x_k, p_k} with matrix coefficients."""
 
@@ -126,7 +191,7 @@ class OperatorSymbol:
     def _add_term(self, mono, mat: ExactMatrix) -> None:
         cur = self.terms.get(mono)
         new = mat if cur is None else cur + mat
-        if new.is_zero():
+        if is_zero(new):
             self.terms.pop(mono, None)
         else:
             self.terms[mono] = new
@@ -200,7 +265,7 @@ def dense_transform(sym: OperatorSymbol, cand: SymmetryCandidate) -> OperatorSym
     """
     out = OperatorSymbol(sym.d, sym.dim)
     for mono, mat in sym.terms.items():
-        m = mat.conj() if cand.antilinear else mat
+        m = conj(mat) if cand.antilinear else mat
         if _term_sign(mono, cand) < 0:
             m = -m
         out._add_term(mono, m)
@@ -331,13 +396,13 @@ def _constraint_pairs(model: DiracModel, cand: SymmetryCandidate, include_j: boo
         for mono in monos:
             a = coeff(tg, mono)
             b = coeff(g, mono)
-            if a.is_zero() and b.is_zero():
+            if is_zero(a) and is_zero(b):
                 continue
-            sa = a.scalar_multiple_of_identity()
-            sb = b.scalar_multiple_of_identity()
+            sa = scalar_multiple_of_identity(a)
+            sb = scalar_multiple_of_identity(b)
             if sa is not None and sb is not None:
                 resid = sa - ExactScalar(eps) * sb
-                if resid.is_zero():
+                if not resid:
                     continue  # identically satisfied, no condition on tau
                 inconsistencies.append(
                     {"generator": label, "monomial": mono, "scale": resid}
@@ -459,7 +524,7 @@ def invertible_element(basis: list):
     oracle's tests has more than four basis elements.
     """
     for b in basis:
-        if b.is_invertible():
+        if b.determinant():
             return _normalize(b)
     k = len(basis)
     if k <= 1:
@@ -473,7 +538,7 @@ def invertible_element(basis: list):
         for w, b in zip(weights, basis):
             if w:
                 m = m + b.scale(ExactScalar(w))
-        if m.is_invertible():
+        if m.determinant():
             return _normalize(m)
     return None
 
@@ -491,8 +556,8 @@ def dense_solve_tau(model, cand, ansatz="full", include_j=True, variant=""):
     invertible = invertible_element(basis)
     phase = None
     if len(basis) == 1 and invertible is not None:
-        sq = invertible @ (invertible.conj() if cand.antilinear else invertible)
-        phase = sq.scalar_multiple_of_identity()
+        sq = invertible @ (conj(invertible) if cand.antilinear else invertible)
+        phase = scalar_multiple_of_identity(sq)
     return TauSolution(
         candidate=cand,
         d=model.d,
@@ -535,7 +600,7 @@ def dense_dispersion_check(model: DiracModel, p) -> dict:
     omega2 = sum((x * x for x in p), Fraction(0)) + model.mass * model.mass
     want = ExactMatrix.identity(model.dim).scale(ExactScalar(omega2))
     square_ok = h @ h == want
-    trace_zero = h.trace().is_zero()
+    trace_zero = not trace(h)
     return {
         "d": model.d,
         "mass": model.mass,
@@ -648,7 +713,7 @@ def dispersion_scalar(model: DiracModel) -> OperatorSymbol | None:
     sq = square_of_hamiltonian(model)
     out = OperatorSymbol(model.d, 1)
     for mono, mat in sq.terms.items():
-        c = mat.scalar_multiple_of_identity()
+        c = scalar_multiple_of_identity(mat)
         if c is None:
             return None
         out._add_term(mono, ExactMatrix([[c]]))
@@ -709,5 +774,5 @@ def compose(
 ):
     """Operator product of two solved symmetries: candidate plus tau."""
     cand = composite_candidate(c1, c2, name)
-    t2 = tau2.conj() if c1.antilinear else tau2
+    t2 = conj(tau2) if c1.antilinear else tau2
     return cand, tau1 @ t2

@@ -24,6 +24,7 @@ from diracsym import (
     dispersion_check,
     little_group_labels,
     model_for,
+    pauli,
     profile_apply_P2,
     solve_tau,
     sqrt_dirac_fiber,
@@ -34,7 +35,7 @@ from diracsym.certificate import FLAGS, flags_for
 from diracsym.symmetry import C, PARITY, PTC, TP, TW
 
 from conftest import block_antidiag, block_diag, dense_alphas, proj_equal
-from dense_oracle import compose
+from dense_oracle import compose, dense_check_relations
 from gamma_reference import SIGMA1, SIGMA2, SIGMA3
 
 BUILTIN_NAMES = ("P", "Tp", "Tw", "C")
@@ -58,7 +59,8 @@ def test_criterion_01_gamma_construction():
     for d in (2, 4, 6, 8, 10):
         gs = system_for(d)
         assert gs.rep_dim == 2 ** (d // 2)
-        assert gs.relations_hold(), f"relation failure at d={d}"
+        report = dense_check_relations(gs)
+        assert all(r["ok"] for r in report), f"relation failure at d={d}"
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"took {elapsed:.1f} s"
 
@@ -79,7 +81,7 @@ def test_criterion_03_d4_massless():
     """Massless 3+1: representatives gamma0, alpha2*alpha4, alpha1*alpha3."""
     model = model_for(4, mass=0)
     assert proj_equal(
-        solve_tau(model, TP).invertible_representative, model.gamma.gamma0
+        solve_tau(model, TP).invertible_representative, model.gamma.gammas[0]
     )
     assert proj_equal(
         solve_tau(model, C).invertible_representative, _alpha_prod(model, 2, 4)
@@ -95,7 +97,8 @@ def test_criterion_04_d4_doubled():
     sols = {name: solve_tau(model, CANDIDATES[name]) for name in ("P", "Tp", "Tw", "C")}
     assert all(s.exists for s in sols.values())
     single = model_for(4, mass=1)
-    assert verify_tau(model, TP, block_antidiag(single.beta, single.beta))
+    beta = pauli.encode(*single.beta_string, single.dim)
+    assert verify_tau(model, TP, block_antidiag(beta, beta))
     a13 = _alpha_prod(single, 1, 3)
     a24 = _alpha_prod(single, 2, 4)
     assert verify_tau(model, TW, block_diag(a13, a13))
@@ -110,7 +113,7 @@ def test_criterion_04_d4_doubled():
         cand_pw, tau_pw, C, sols["C"].invertible_representative, name="PTC"
     )
     assert not cand_ptc.antilinear
-    assert tau_ptc.is_invertible()
+    assert tau_ptc.determinant()
     assert verify_tau(model, cand_ptc, tau_ptc)
     assert solve_tau(model, PTC).exists
 

@@ -12,7 +12,6 @@ from diracsym.certificate import (
     FLAGS,
     classification_json,
     flags_for,
-    frac_from_json,
     frac_json,
     gamma_json,
     make_certificate,
@@ -25,7 +24,7 @@ from diracsym.symmetry import TW, classify
 
 def test_frac_round_trip():
     for x in (Fraction(0), Fraction(-7, 3), Fraction(22, 5)):
-        assert frac_from_json(frac_json(x)) == x
+        assert Fraction(*map(int, frac_json(x))) == x
 
 
 def test_hash_round_trip():

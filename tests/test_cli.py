@@ -17,7 +17,7 @@ import diracsym
 from diracsym import ExactMatrix, make_certificate, model_for, verify_certificate
 from diracsym.certificate import content_hash
 from diracsym.clifford import GammaSystem
-from diracsym import cli, spectra
+from diracsym import cli, clifford, exact, spectra
 from diracsym.cli import main
 
 from conftest import proj_equal
@@ -44,7 +44,7 @@ def test_gamma_writes_valid_certificate(tmp_path):
 
 def test_gamma_checks_the_relations_once(tmp_path, monkeypatch):
     # the exit code reads the relation check in the certificate, so the
-    # dense check runs once, and a failed pair in it exits 2
+    # check runs once, and a failed pair in it exits 2
     real = GammaSystem.check_relations
     calls = []
 
@@ -67,6 +67,24 @@ def test_gamma_checks_the_relations_once(tmp_path, monkeypatch):
     assert not load(out)["results"]["relations_check"][-1]["ok"]
 
 
+def test_gamma_and_fiber_multiply_no_dense_matrix(tmp_path, monkeypatch):
+    # the relations and the fiber square are read off Pauli terms, so a
+    # dense product anywhere on either path fails the test
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix product")
+
+    monkeypatch.setattr(exact, "matmul", refuse)
+    monkeypatch.setattr(exact.ExactMatrix, "__matmul__", refuse)
+    for mod in (clifford, spectra):
+        monkeypatch.setattr(mod, "matmul", refuse, raising=False)
+    out = tmp_path / "g8.json"
+    assert run(["gamma", "--dim", "8", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "golden" / "gamma_d8.json"
+    assert out.read_bytes() == golden.read_bytes()
+    fiber = spectra.sqrt_dirac_fiber(Fraction(2), [1, -1, 2])
+    assert fiber["ok"] and fiber["omega2"] == 10
+
+
 def test_solve_tau_massless_tp_representative(tmp_path, capsys):
     out = tmp_path / "tau.json"
     code = run(
@@ -78,7 +96,7 @@ def test_solve_tau_massless_tp_representative(tmp_path, capsys):
     assert code == 0
     cert = load(out)
     rep = ExactMatrix.from_json(cert["results"]["invertible_representative"])
-    assert proj_equal(rep, model_for(4, mass=0).gamma.gamma0)
+    assert proj_equal(rep, model_for(4, mass=0).gamma.gammas[0])
 
 
 def test_classify_expectations_pass(tmp_path):

@@ -11,6 +11,14 @@ from diracsym import ExactMatrix, ExactScalar, nullspace, rank
 from diracsym.exact import I_UNIT, MINUS_ONE, ONE, ZERO, matmul
 
 from conftest import kron, mat
+from dense_oracle import (
+    dagger,
+    is_anti_hermitian,
+    is_hermitian,
+    is_zero,
+    scalar_multiple_of_identity,
+    trace,
+)
 
 
 class TestExactScalar:
@@ -33,13 +41,11 @@ class TestExactScalar:
     def test_conjugate_and_abs2(self):
         a = ExactScalar(3, -4)
         assert a.conjugate() == ExactScalar(3, 4)
-        assert a.abs2() == Fraction(25)
         assert a * a.conjugate() == ExactScalar(25)
 
     def test_truthiness_and_zero(self):
         assert not ExactScalar(0, 0)
         assert ExactScalar(0, Fraction(1, 7))
-        assert ExactScalar(0, 0).is_zero()
 
     def test_json_round_trip(self):
         a = ExactScalar(Fraction(-7, 3), Fraction(22, 5))
@@ -60,24 +66,24 @@ class TestExactMatrix:
     def test_determinant_and_invertibility(self):
         m = mat([[1, 2], [3, 4]])
         assert m.determinant() == ExactScalar(-2)
-        assert m.is_invertible()
+        assert m.determinant()
         s = mat([[1, 2], [2, 4]])
         assert s.determinant() == ZERO
-        assert not s.is_invertible()
+        assert not s.determinant()
 
     def test_dagger_and_hermiticity(self):
         h = mat([[2, (0, 1)], [(0, -1), 3]])
-        assert h.dagger() == h
-        assert h.is_hermitian()
-        assert (h.scale(I_UNIT)).is_anti_hermitian()
+        assert dagger(h) == h
+        assert is_hermitian(h)
+        assert is_anti_hermitian(h.scale(I_UNIT))
 
     def test_scalar_multiple_of_identity(self):
         m = ExactMatrix.identity(3).scale(ExactScalar(Fraction(5, 2)))
-        assert m.scalar_multiple_of_identity() == ExactScalar(Fraction(5, 2))
-        assert mat([[1, 1], [0, 1]]).scalar_multiple_of_identity() is None
+        assert scalar_multiple_of_identity(m) == ExactScalar(Fraction(5, 2))
+        assert scalar_multiple_of_identity(mat([[1, 1], [0, 1]])) is None
 
     def test_trace(self):
-        assert mat([[1, 9], [9, -1]]).trace() == ZERO
+        assert trace(mat([[1, 9], [9, -1]])) == ZERO
 
     def test_json_round_trip(self):
         m = mat([[(1, 2), (0, -3)], [(Fraction(1, 2), 0), 4]])
@@ -273,7 +279,7 @@ class TestZeroAwareKernels:
         a, b = pair
         neg = ref_scale(a, MINUS_ONE)
         assert_same(a + neg, ref_add(a, neg))
-        assert (a + neg).is_zero() and (a - a).is_zero()
+        assert is_zero(a + neg) and is_zero(a - a)
         assert_same(a - a, ref_sub(a, a))
         # partial cancellation: b with a's negated entries on its nonzeros
         mixed = ExactMatrix._make(

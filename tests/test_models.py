@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from diracsym import ExactMatrix, ExactScalar, doubled, model_for
+from diracsym import ExactMatrix, ExactScalar, doubled, model_for, pauli
 from diracsym import models
 from diracsym.exact import I_UNIT
 from diracsym.models import p_monomial, unit_monomial, x_monomial
@@ -83,7 +83,7 @@ class TestHamiltonianAndGenerators:
         want = ExactMatrix.zero(m.dim)
         for pk, ak in zip(p, dense_alphas(m)):
             want = want + ak.scale(ExactScalar(pk))
-        want = want + m.beta.scale(ExactScalar(3))
+        want = want + pauli.encode(*m.beta_string, m.dim).scale(ExactScalar(3))
         assert h == want
 
     def test_negative_branch_flips_mass_term(self):
@@ -224,8 +224,9 @@ class TestDoubledModel:
                 for j in range(n):
                     assert a_d[i, j] == a_s[i, j]
                     assert a_d[n + i, n + j] == a_s[i, j]
-                    assert a_d[i, n + j].is_zero()
-        b_s, b_d = single.beta, dbl.beta
+                    assert not a_d[i, n + j]
+        b_s = pauli.encode(*single.beta_string, single.dim)
+        b_d = pauli.encode(*dbl.beta_string, dbl.dim)
         for i in range(n):
             for j in range(n):
                 assert b_d[i, j] == b_s[i, j]

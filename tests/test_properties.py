@@ -10,6 +10,7 @@ from diracsym.exact import ONE, ZERO
 from diracsym.spectra import dispersion_check
 
 from conftest import kron
+from dense_oracle import conj, dagger, trace, transpose
 
 fractions = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12
@@ -41,10 +42,10 @@ def test_scalar_conjugation_is_multiplicative(a, b):
 
 @given(scalars)
 def test_scalar_division_inverts(a):
-    if a.is_zero():
+    if not a:
         return
     assert (ONE / a) * a == ONE
-    assert a.abs2() == (a * a.conjugate()).re
+    assert a * a.conjugate() == ExactScalar(a.re * a.re + a.im * a.im)
 
 
 @given(scalars)
@@ -57,8 +58,8 @@ def test_scalar_json_round_trip(a):
 def test_matrix_ring_identities(a, b, c):
     assert (a @ b) @ c == a @ (b @ c)
     assert a @ (b + c) == a @ b + a @ c
-    assert (a @ b).transpose() == b.transpose() @ a.transpose()
-    assert (a @ b).dagger() == b.dagger() @ a.dagger()
+    assert transpose(a @ b) == transpose(b) @ transpose(a)
+    assert dagger(a @ b) == dagger(b) @ dagger(a)
 
 
 @settings(max_examples=25)
@@ -70,10 +71,10 @@ def test_determinant_multiplicative(a, b):
 @settings(max_examples=25)
 @given(matrices(2), matrices(2))
 def test_kron_identities(a, b):
-    assert kron(a, b).trace() == a.trace() * b.trace()
+    assert trace(kron(a, b)) == trace(a) * trace(b)
     i2 = ExactMatrix.identity(2)
     assert kron(i2, i2) == ExactMatrix.identity(4)
-    assert kron(a, b).conj() == kron(a.conj(), b.conj())
+    assert conj(kron(a, b)) == kron(conj(a), conj(b))
 
 
 @settings(max_examples=20, deadline=None)
